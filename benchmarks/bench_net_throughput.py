@@ -13,21 +13,36 @@ Three claims about :mod:`repro.net`:
    ``jobs=4`` returns exactly the serial summaries.
 """
 
+import os
+import platform
+import time
 from functools import partial
 
-from repro.bench import render, run_net_benchmarks
+from repro.bench import host_cpu_model, render, run_net_benchmarks
 from repro.net.demo import loadgen_summary
 from repro.parallel import map_units
+from repro.runtime._hotloop import HAS_COMPILED, drive_stats
 
 
 def test_loadgen_sustains_100k_requests(benchmark, report):
+    drive_stats(True)
+    t0 = time.perf_counter()
     summary = benchmark.pedantic(
         lambda: loadgen_summary(seed=3, clients=40, requests=2500,
                                 rate=500.0),
         rounds=1, iterations=1)
+    wall = time.perf_counter() - t0
+    drive = drive_stats(True)
 
     lat = summary["latency"]
     report("Virtual-time load generator at 100k requests", "\n".join([
+        f"host: {host_cpu_model() or platform.machine()}, "
+        f"{os.cpu_count()} cpu(s), python {platform.python_version()}, "
+        f"compiled={HAS_COMPILED}",
+        f"wall: {wall:.2f}s ({summary['requests'] / wall:,.0f} req/s, "
+        f"{summary['steps'] / wall:,.0f} steps/s)"
+        + (f"; drive() calls: {drive['calls']}, timers fired in loop: "
+           f"{sum(drive['timers_fired'].values()):,}" if drive else ""),
         f"requests: {summary['requests']:,} from {summary['clients']} "
         f"client(s)",
         f"status: {summary['status']}  steps: {summary['steps']:,}  "

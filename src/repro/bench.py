@@ -53,7 +53,9 @@ from .runtime.runtime import run
 #: load run, compiled vs pure wall time), and ``fallbacks`` (backend
 #: fallback counts plus the fast-op engage/bail counters accumulated over
 #: the whole bench process); ``single`` cells gain ``fastops_per_run`` and
-#: ``compiled`` now reports what the run actually had loaded.
+#: ``compiled`` now reports what the run actually had loaded.  Additive
+#: since: ``fallbacks`` carries ``drive`` (the compiled step loop's calls,
+#: exits by verdict and timers fired inside it, from ``drive_stats``).
 SCHEMA = 4
 
 
@@ -485,11 +487,13 @@ def collect_runtime_fallbacks() -> Dict[str, Any]:
     Two kinds of quiet substitution, surfaced so a bench document never
     hides them: backend fallbacks (a requested vehicle that was
     unavailable, counted per ``requested->used`` edge; the warning itself
-    fires only once per process) and the compiled fast-op engage/bail
+    fires only once per process), the compiled fast-op engage/bail
     counters accumulated since the last reset — a run that bailed every
-    op is a run measured on the pure path.
+    op is a run measured on the pure path — and the compiled step loop's
+    own counters (``drive``: calls, exits by verdict, timers fired inside
+    the loop; empty without the extension).
     """
-    from .runtime._hotloop import get_fastops
+    from .runtime._hotloop import drive_stats, get_fastops
     from .runtime.scheduler import backend_fallbacks
 
     fast = get_fastops()
@@ -498,6 +502,7 @@ def collect_runtime_fallbacks() -> Dict[str, Any]:
     return {
         "backend_fallbacks": backend_fallbacks(),
         "fastops": stats,
+        "drive": drive_stats() or {},
     }
 
 
@@ -850,6 +855,18 @@ def run_benchmarks(jobs: int = 0, repeats: int = 3,
     return document
 
 
+def host_cpu_model() -> Optional[str]:
+    """The host's CPU model name (``/proc/cpuinfo`` on Linux), or None."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return None
+
+
 def run_net_benchmarks(repeats: int = 3, loadgen_clients: int = 8,
                        loadgen_requests: int = 250) -> Dict[str, Any]:
     """The network document: fabric/RPC timings + a loadgen throughput row.
@@ -890,6 +907,9 @@ def run_net_benchmarks(repeats: int = 3, loadgen_clients: int = 8,
         "python": platform.python_version(),
         "platform": sys.platform,
         "cpus": os.cpu_count(),
+        "cpu_model": host_cpu_model(),
+        "backend": single["net_pingpong"]["fast"]["backend"],
+        "compiled": HAS_COMPILED,
         "single": single,
         "loadgen": loadgen,
     }
@@ -966,6 +986,8 @@ def render(document: Dict[str, Any]) -> str:
     lines: List[str] = []
     header = (f"simulator benchmarks (python {document['python']}, "
               f"{document['cpus']} cpu(s)")
+    if document.get("cpu_model"):
+        header += f" {document['cpu_model']}"
     if "backend" in document:
         hot = ("compiled hot loop" if document.get("compiled")
                else "pure hot loop")
@@ -1135,6 +1157,16 @@ def render(document: Dict[str, Any]) -> str:
                               in sorted(bailed.items())) or "none")
         lines.append(f"fallbacks: backend {edge_text}; fast ops engaged "
                      f"{engaged:,}, bailed {bail_text}")
+        drive = fb.get("drive")
+        if drive:
+            exits = " ".join(f"{verdict}:{n}" for verdict, n
+                             in sorted(drive["exits"].items()) if n)
+            fired = drive["timers_fired"]
+            lines.append(f"  drive: {drive['calls']:,} call(s), exits "
+                         f"{exits or 'none'}; timers fired in loop "
+                         f"ready:{fired['ready']:,} "
+                         f"callback:{fired['callback']:,}, callbacks "
+                         f"raised {drive['callbacks_raised']}")
     if "recovery" in document:
         recovery = document["recovery"]
         lines.append("")

@@ -76,6 +76,7 @@ class Conn:
         self._out = out
         self._in = in_
         self._closed = False
+        self._recv_reason = f"net.recv:{remote}->{local}"
 
     @classmethod
     def pair(cls, rt: "Runtime", net: "Network", a: str, b: str
@@ -132,17 +133,18 @@ class Conn:
         while True:
             if pipe.queue:
                 seq, payload, sent_at = pipe.queue.popleft()
-                sched.emit(EventKind.NET_RECV, obj=pipe.obj,
-                           info={"link": f"{pipe.src}->{pipe.dst}",
-                                 "seq": seq,
-                                 "latency": sched.clock.now - sent_at})
+                if sched.trace.active:
+                    sched.emit(EventKind.NET_RECV, obj=pipe.obj,
+                               info={"link": f"{pipe.src}->{pipe.dst}",
+                                     "seq": seq,
+                                     "latency": sched.clock.now - sent_at})
                 return payload, True
             if pipe.aborted:
                 return None, False
             if pipe.closed and pipe.in_flight == 0:
                 return None, False
             pipe.waiters.append(me)
-            sched.block(f"net.recv:{self.remote}->{self.local}")
+            sched.block(self._recv_reason)
             try:
                 pipe.waiters.remove(me)
             except ValueError:
@@ -150,14 +152,16 @@ class Conn:
 
     def try_recv(self) -> Tuple[Any, bool, bool]:
         """Non-blocking receive: ``(payload, received, open)``."""
-        self._sched.schedule_point()
+        sched = self._sched
+        sched.schedule_point()
         pipe = self._in
         if pipe.queue:
             seq, payload, sent_at = pipe.queue.popleft()
-            self._sched.emit(EventKind.NET_RECV, obj=pipe.obj,
-                             info={"link": f"{pipe.src}->{pipe.dst}",
-                                   "seq": seq,
-                                   "latency": self._sched.clock.now - sent_at})
+            if sched.trace.active:
+                sched.emit(EventKind.NET_RECV, obj=pipe.obj,
+                           info={"link": f"{pipe.src}->{pipe.dst}",
+                                 "seq": seq,
+                                 "latency": sched.clock.now - sent_at})
             return payload, True, True
         if pipe.aborted or (pipe.closed and pipe.in_flight == 0):
             return None, False, False

@@ -230,31 +230,40 @@ class Network:
 
     def transmit(self, pipe: "_Pipe", payload: Any) -> None:
         """Schedule delivery of one message on a pipe (sender context)."""
-        src, dst = pipe.src, pipe.dst
-        link = self.link(src, dst)
+        sched = self._sched
+        link = self.link(pipe.src, pipe.dst)
         drop, dup, reorder, extra = self._effective(link)
-        now = self._sched.clock.now
+        now = sched.clock.now
         seq = self._next_msg
         self._next_msg += 1
         self.stats["sent"] += 1
-        self._sched.emit(EventKind.NET_SEND, obj=pipe.obj,
-                         info={"link": link.name, "seq": seq,
-                               "latency": link.latency + extra})
-        self._log_line(f"SEND {link.name} #{seq}")
+        # Trace payloads and log lines are built only when someone keeps
+        # them: the untraced, unlogged path formats no strings.
+        traced = sched.trace.active
+        logged = self.log_messages
+        if traced:
+            sched.emit(EventKind.NET_SEND, obj=pipe.obj,
+                       info={"link": link.name, "seq": seq,
+                             "latency": link.latency + extra})
+        if logged:
+            self._log_line(f"SEND {link.name} #{seq}")
 
         if drop and self._rng.random() < drop:
             self.stats["dropped"] += 1
-            self._sched.emit(EventKind.NET_DROP, gid=0, obj=pipe.obj,
-                             info={"link": link.name, "seq": seq,
-                                   "reason": "loss"})
-            self._log_line(f"DROP {link.name} #{seq} loss")
+            if traced:
+                sched.emit(EventKind.NET_DROP, gid=0, obj=pipe.obj,
+                           info={"link": link.name, "seq": seq,
+                                 "reason": "loss"})
+            if logged:
+                self._log_line(f"DROP {link.name} #{seq} loss")
             return
 
         copies = 1
         if dup and self._rng.random() < dup:
             copies = 2
             self.stats["duplicated"] += 1
-            self._log_line(f"DUP  {link.name} #{seq}")
+            if logged:
+                self._log_line(f"DUP  {link.name} #{seq}")
 
         base = now + link.latency + extra
         for _ in range(copies):
@@ -268,30 +277,33 @@ class Network:
                 deliver_at = max(deliver_at, pipe.last_deliver)
                 pipe.last_deliver = deliver_at
             pipe.in_flight += 1
-            self._sched.clock.call_at(
-                deliver_at,
-                lambda p=pipe, s=seq, v=payload, t=now: self._deliver(p, s, v, t))
+            sched.clock.call_at(deliver_at, self._deliver,
+                                pipe, seq, payload, now)
 
     def _deliver(self, pipe: "_Pipe", seq: int, payload: Any,
                  sent_at: float) -> None:
         """Timer callback (scheduler context): land or drop one message."""
         pipe.in_flight -= 1
-        link_name = f"{pipe.src}->{pipe.dst}"
+        logged = self.log_messages
         if not self.reachable(pipe.src, pipe.dst):
             self.stats["dropped"] += 1
-            self._sched.emit(EventKind.NET_DROP, gid=0, obj=pipe.obj,
-                             info={"link": link_name, "seq": seq,
-                                   "reason": "partition"})
-            self._log_line(f"DROP {link_name} #{seq} partition")
+            if self._sched.trace.active:
+                self._sched.emit(EventKind.NET_DROP, gid=0, obj=pipe.obj,
+                                 info={"link": f"{pipe.src}->{pipe.dst}",
+                                       "seq": seq, "reason": "partition"})
+            if logged:
+                self._log_line(f"DROP {pipe.src}->{pipe.dst} #{seq} partition")
         elif pipe.aborted:
             # Receiver already closed its end; silently discard, like
             # packets arriving for a closed socket.
             self.stats["dropped"] += 1
-            self._log_line(f"DROP {link_name} #{seq} closed")
+            if logged:
+                self._log_line(f"DROP {pipe.src}->{pipe.dst} #{seq} closed")
         else:
             self.stats["delivered"] += 1
             pipe.queue.append((seq, payload, sent_at))
-            self._log_line(f"RECV {link_name} #{seq}")
+            if logged:
+                self._log_line(f"RECV {pipe.src}->{pipe.dst} #{seq}")
         # Wake receivers either way: a dropped final message may complete
         # an EOF condition (sender closed and nothing left in flight).
         pipe.wake_all()

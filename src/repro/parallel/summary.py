@@ -33,10 +33,10 @@ def schedule_digest(result: Any) -> Optional[str]:
     """
     if result.trace is None:
         return None
-    h = hashlib.sha256()
-    for e in result.trace:
-        h.update(f"{e.step}|{e.gid}|{e.kind}|{e.obj}\n".encode())
-    return h.hexdigest()
+    # One buffer, hashed once: the same bytes as one update per event.
+    fingerprint = "".join([f"{e.step}|{e.gid}|{e.kind}|{e.obj}\n"
+                           for e in result.trace])
+    return hashlib.sha256(fingerprint.encode()).hexdigest()
 
 
 def _json_safe(value: Any) -> Any:

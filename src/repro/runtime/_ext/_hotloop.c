@@ -12,12 +12,18 @@
  *     ``randrange`` method, the compiled loop below reads the same MT state
  *     directly, and the interleaved sequence is unchanged.
  *
- *  2. ``drive(sched)`` — the fused scheduler loop: stop check, budget,
- *     RNG pick, continuation switch and after-resume bookkeeping with no
- *     Python frames in between.  Only runs when nothing observable differs
- *     from the pure loop: no trace consumer, no injector, no observe hooks,
- *     structured stop conditions, and the scheduler's RNG is the C type
- *     above.  Anything else returns None and the pure loop takes over.
+ *  2. ``drive(sched, advance_clock)`` — the fused scheduler loop: stop
+ *     check, budget, RNG pick, continuation switch and after-resume
+ *     bookkeeping with no Python frames in between.  When no goroutine is
+ *     runnable it also fires the virtual clock's due timers itself — the
+ *     work of ``VirtualClock.advance_to_next`` + ``Scheduler.fire_timers``,
+ *     popping the shared ``heapq`` heap through ``heapq.heappop`` — and
+ *     keeps stepping, so a timer-driven run enters the loop a handful of
+ *     times instead of once per timer.  A "ready goroutine" timer (callback
+ *     None) costs no Python call at all.  Only runs when nothing observable
+ *     differs from the pure loop: no trace consumer, no injector, no observe
+ *     hooks, structured stop conditions, and the scheduler's RNG is the C
+ *     type above.  Anything else returns None and the pure loop takes over.
  *
  * Goroutine fields are reached through slot offsets cached from the class
  * ``__slots__`` member descriptors at bind() time — an attribute read is a
@@ -357,6 +363,11 @@ static Py_ssize_t off_state = -1;           /* Goroutine.state */
 static Py_ssize_t off_ended_at = -1;        /* Goroutine.ended_at */
 static Py_ssize_t off_tk = -1;              /* TaskletGoroutine._tk */
 static PyObject *switch_meth = NULL;        /* unbound Tasklet.switch */
+static PyTypeObject *th_type = NULL;        /* clock.TimerHandle */
+static Py_ssize_t off_th_callback = -1;     /* TimerHandle.callback */
+static Py_ssize_t off_th_args = -1;         /* TimerHandle.args */
+static Py_ssize_t off_th_cancelled = -1;    /* TimerHandle.cancelled */
+static PyObject *heappop_fn = NULL;         /* heapq.heappop */
 
 static PyObject *st_running = NULL, *st_runnable = NULL, *st_done = NULL,
                 *st_panicked = NULL, *st_killed = NULL, *terminal_set = NULL;
@@ -365,10 +376,18 @@ static PyObject *s_runnable_attr = NULL, *s_rng = NULL, *s_stop_mode = NULL,
                 *s_panicked_attr = NULL, *s_budget = NULL, *s_budget_used = NULL,
                 *s_steps = NULL, *s_time_limit = NULL, *s_clock = NULL,
                 *s_now = NULL, *s_current = NULL, *s_resume = NULL,
-                *s_state = NULL, *s_ended_at = NULL;
+                *s_state = NULL, *s_ended_at = NULL, *s_now_attr = NULL,
+                *s_heap = NULL, *s_ready = NULL;
 
 static PyObject *v_stopped = NULL, *v_timeout = NULL, *v_steps = NULL,
                 *v_idle = NULL;
+
+/* drive_stats() counters: calls, exits by verdict, timers fired in the
+ * loop by kind, and timer callbacks that raised. */
+enum { DX_STOPPED, DX_TIMEOUT, DX_STEPS, DX_IDLE, DX_INELIGIBLE, DX_ERROR,
+       DX_N };
+static long long dr_calls, dr_exits[DX_N], dr_fired_ready, dr_fired_callback,
+                 dr_callback_raised;
 
 static int
 member_offset(PyObject *cls, const char *name, Py_ssize_t *out)
@@ -390,9 +409,9 @@ member_offset(PyObject *cls, const char *name, Py_ssize_t *out)
 static PyObject *
 hl_bind(PyObject *module, PyObject *args)
 {
-    PyObject *goro_cls, *tk_goro_cls, *gstate_cls, *tasklet_cls;
-    if (!PyArg_ParseTuple(args, "OOOO",
-                          &goro_cls, &tk_goro_cls, &gstate_cls, &tasklet_cls))
+    PyObject *goro_cls, *tk_goro_cls, *gstate_cls, *tasklet_cls, *th_cls;
+    if (!PyArg_ParseTuple(args, "OOOOO", &goro_cls, &tk_goro_cls,
+                          &gstate_cls, &tasklet_cls, &th_cls))
         return NULL;
     if (member_offset(goro_cls, "state", &off_state) < 0)
         return NULL;
@@ -406,6 +425,22 @@ hl_bind(PyObject *module, PyObject *args)
     }
     Py_INCREF(tk_goro_cls);
     Py_XSETREF(tk_go_type, (PyTypeObject *)tk_goro_cls);
+    if (member_offset(th_cls, "callback", &off_th_callback) < 0 ||
+        member_offset(th_cls, "args", &off_th_args) < 0 ||
+        member_offset(th_cls, "cancelled", &off_th_cancelled) < 0)
+        return NULL;
+    Py_INCREF(th_cls);
+    Py_XSETREF(th_type, (PyTypeObject *)th_cls);
+    {
+        PyObject *heapq = PyImport_ImportModule("heapq");
+        if (heapq == NULL)
+            return NULL;
+        PyObject *pop = PyObject_GetAttrString(heapq, "heappop");
+        Py_DECREF(heapq);
+        if (pop == NULL)
+            return NULL;
+        Py_XSETREF(heappop_fn, pop);
+    }
 
 #define FETCH(dst, name)                                            \
     do {                                                            \
@@ -496,17 +531,217 @@ runnable_remove(PyObject *runnable, PyObject *g)
     }
 }
 
+/* Forward declarations from the fast-op section below: a fired "ready
+ * goroutine" timer goes through the same requeue as a channel wakeup. */
+static int fo_bound;
+static int fo_ready(PyObject *sched, PyObject *g);
+
+/* ``a > b`` (op Py_GT) or ``a <= b`` (op Py_LE) on clock values, with a
+ * float fast path; -1 on error.  NaN compares false both ways, as in
+ * Python. */
+static inline int
+clock_compare(PyObject *a, PyObject *b, int op)
+{
+    if (PyFloat_CheckExact(a) && PyFloat_CheckExact(b)) {
+        double x = PyFloat_AS_DOUBLE(a), y = PyFloat_AS_DOUBLE(b);
+        return op == Py_GT ? x > y : x <= y;
+    }
+    return PyObject_RichCompareBool(a, b, op);
+}
+
+/* The TimerHandle of heap entry ``(deadline, seq, handle)`` (borrowed), or
+ * NULL with TypeError for anything else. */
 static PyObject *
-hl_drive(PyObject *module, PyObject *sched)
+heap_entry_handle(PyObject *entry)
+{
+    if (PyTuple_CheckExact(entry) && PyTuple_GET_SIZE(entry) == 3) {
+        PyObject *h = PyTuple_GET_ITEM(entry, 2);
+        if (PyObject_TypeCheck(h, th_type))
+            return h;
+    }
+    PyErr_SetString(PyExc_TypeError,
+                    "timer heap entry is not (deadline, seq, TimerHandle)");
+    return NULL;
+}
+
+/* ``bool(handle.cancelled)``; -1 on error. */
+static inline int
+handle_cancelled(PyObject *h)
+{
+    PyObject *c = slot_get(h, off_th_cancelled);
+    if (c == Py_True)
+        return 1;
+    if (c == Py_False)
+        return 0;
+    if (c == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "TimerHandle.cancelled");
+        return -1;
+    }
+    return PyObject_IsTrue(c);
+}
+
+/* Empty ``batch`` without disturbing a pending exception. */
+static void
+batch_clear(PyObject *batch)
+{
+    PyObject *exc_type, *exc_val, *exc_tb;
+    PyErr_Fetch(&exc_type, &exc_val, &exc_tb);
+    PyList_SetSlice(batch, 0, PyList_GET_SIZE(batch), NULL);
+    PyErr_Restore(exc_type, exc_val, exc_tb);
+}
+
+/* Nothing is runnable: do what ``VirtualClock.advance_to_next()`` followed
+ * by ``Scheduler.fire_timers()`` do, in the same order — drop cancelled
+ * heads, move the clock to the earliest deadline (the deadline object
+ * itself, so int deadlines stay ints), pop every handle due by then in
+ * ``(deadline, seq)`` order marking it fired, then run the callbacks.  A
+ * timer a callback arms for the same deadline is not in this batch; it
+ * fires on the next idle, exactly as on the pure path.
+ *
+ * Returns 1 when timers fired, 0 when none is pending, -1 on error — an
+ * exception raised by a callback propagates, and the rest of its batch is
+ * dropped, as when ``fire_timers`` raises.  ``*batch_io`` is a scratch
+ * list reused across calls; ``*now_io`` tracks the clock. */
+static int
+drive_fire_timers(PyObject *sched, PyObject *clock, PyObject *heap,
+                  PyObject **batch_io, PyObject **now_io)
+{
+    PyObject *entry, *h;
+    for (;;) {
+        if (PyList_GET_SIZE(heap) == 0)
+            return 0;
+        h = heap_entry_handle(PyList_GET_ITEM(heap, 0));
+        if (h == NULL)
+            return -1;
+        int c = handle_cancelled(h);
+        if (c < 0)
+            return -1;
+        if (!c)
+            break;
+        entry = PyObject_CallOneArg(heappop_fn, heap);
+        if (entry == NULL)
+            return -1;
+        Py_DECREF(entry);
+    }
+
+    PyObject *deadline = PyTuple_GET_ITEM(PyList_GET_ITEM(heap, 0), 0);
+    int later = clock_compare(deadline, *now_io, Py_GT);
+    if (later < 0)
+        return -1;
+    if (later) {
+        Py_INCREF(deadline);
+        Py_SETREF(*now_io, deadline);
+        if (PyObject_SetAttr(clock, s_now_attr, deadline) < 0)
+            return -1;
+    }
+
+    PyObject *batch = *batch_io;
+    if (batch == NULL) {
+        batch = *batch_io = PyList_New(0);
+        if (batch == NULL)
+            return -1;
+    }
+    while (PyList_GET_SIZE(heap) > 0) {
+        PyObject *top = PyList_GET_ITEM(heap, 0);
+        if (heap_entry_handle(top) == NULL)
+            goto fail;
+        int due = clock_compare(PyTuple_GET_ITEM(top, 0), *now_io, Py_LE);
+        if (due < 0)
+            goto fail;
+        if (!due)
+            break;
+        entry = PyObject_CallOneArg(heappop_fn, heap);
+        if (entry == NULL)
+            goto fail;
+        h = heap_entry_handle(entry);
+        int c = h == NULL ? -1 : handle_cancelled(h);
+        int rc = 0;
+        if (c == 0) {
+            slot_set(h, off_th_cancelled, Py_True);  /* fired: uncancellable */
+            rc = PyList_Append(batch, h);
+        }
+        Py_DECREF(entry);
+        if (c < 0 || rc < 0)
+            goto fail;
+    }
+
+    /* Callbacks run in scheduler context, with no current goroutine. */
+    if (PyObject_SetAttr(sched, s_current, Py_None) < 0)
+        goto fail;
+    Py_ssize_t n = PyList_GET_SIZE(batch);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        h = PyList_GET_ITEM(batch, i);
+        PyObject *cb = slot_get(h, off_th_callback);
+        PyObject *args = slot_get(h, off_th_args);
+        if (cb == NULL || args == NULL || !PyTuple_Check(args)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "TimerHandle needs a callback and an args tuple");
+            goto fail;
+        }
+        if (cb == Py_None) {
+            /* "Ready goroutine" timer: Scheduler.ready(args[0]). */
+            if (PyTuple_GET_SIZE(args) != 1) {
+                PyErr_SetString(PyExc_TypeError,
+                                "a ready timer takes exactly one goroutine");
+                goto fail;
+            }
+            PyObject *g = PyTuple_GET_ITEM(args, 0);
+            if (fo_bound) {
+                if (fo_ready(sched, g) < 0)
+                    goto fail;
+            }
+            else {
+                PyObject *r = PyObject_CallMethodOneArg(sched, s_ready, g);
+                if (r == NULL)
+                    goto fail;
+                Py_DECREF(r);
+            }
+            dr_fired_ready++;
+        }
+        else {
+            /* The callback may rebind the handle's slots: hold its own
+             * references for the call. */
+            Py_INCREF(cb);
+            Py_INCREF(args);
+            PyObject *r = PyObject_Call(cb, args, NULL);
+            Py_DECREF(cb);
+            Py_DECREF(args);
+            if (r == NULL) {
+                dr_callback_raised++;
+                goto fail;
+            }
+            Py_DECREF(r);
+            dr_fired_callback++;
+        }
+    }
+    batch_clear(batch);
+    return 1;
+
+fail:
+    batch_clear(batch);
+    return -1;
+}
+
+static PyObject *
+hl_drive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     if (!hl_bound) {
         PyErr_SetString(PyExc_RuntimeError, "_hotloop.bind() has not run");
         return NULL;
     }
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "drive(scheduler, advance_clock)");
+        return NULL;
+    }
+    PyObject *sched = args[0];
+    int advance_clock = PyObject_IsTrue(args[1]);
+    if (advance_clock < 0)
+        return NULL;
+    dr_calls++;
 
     PyObject *runnable = NULL, *rng_obj = NULL, *stop_mode = NULL,
              *panicked = NULL, *clock = NULL, *now_obj = NULL,
-             *time_limit = NULL;
+             *time_limit = NULL, *heap = NULL, *batch = NULL;
     PyObject *stop_g = NULL;          /* borrowed from stop_mode */
     BatchedRandomObject *rng = NULL;
     PyObject *verdict = NULL;         /* borrowed from the v_* constants */
@@ -559,17 +794,22 @@ hl_drive(PyObject *module, PyObject *sched)
     time_limit = PyObject_GetAttr(sched, s_time_limit);
     if (time_limit == NULL)
         goto fail_entry;
-    if (time_limit != Py_None) {
-        double now = PyFloat_AsDouble(now_obj);
-        double lim = PyFloat_AsDouble(time_limit);
-        if (PyErr_Occurred())
+    if (advance_clock) {
+        heap = PyObject_GetAttr(clock, s_heap);
+        if (heap == NULL)
             goto fail_entry;
-        time_exceeded = (now >= lim);
+        if (!PyList_CheckExact(heap)) {
+            PyErr_SetString(PyExc_TypeError, "clock._heap is not a list");
+            goto fail_entry;
+        }
     }
 
     /* ---------------- the loop ---------------- */
     {
-        int first = 1;
+        /* The time limit is checked once per stretch of steps: the clock
+         * only moves when this loop fires timers (the injector, which can
+         * also move it, keeps the loop off), and firing re-arms the check. */
+        int check_time = 1;
         for (;;) {
             /* Stop check — same order as the pure _advance. */
             int stop;
@@ -582,16 +822,37 @@ hl_drive(PyObject *module, PyObject *sched)
                 stop = (panicked != Py_None);
             }
             if (stop) { verdict = v_stopped; break; }
-            /* The virtual clock is frozen while goroutines run (timers only
-             * fire from the idle path, the injector is disabled here), so
-             * the time-limit comparison is loop-invariant. */
-            if (first) {
-                first = 0;
+            if (check_time) {
+                check_time = 0;
+                if (time_limit != Py_None) {
+                    double now = PyFloat_AsDouble(now_obj);
+                    double lim = PyFloat_AsDouble(time_limit);
+                    if (PyErr_Occurred()) {
+                        failed = 1;
+                        break;
+                    }
+                    time_exceeded = (now >= lim);
+                }
                 if (time_exceeded) { verdict = v_timeout; break; }
             }
             if (budget_used >= budget) { verdict = v_steps; break; }
             Py_ssize_t nrun = PyList_GET_SIZE(runnable);
-            if (nrun == 0) { verdict = v_idle; break; }
+            if (nrun == 0) {
+                if (!advance_clock) { verdict = v_idle; break; }
+                int fired = drive_fire_timers(sched, clock, heap, &batch,
+                                              &now_obj);
+                if (fired < 0) { failed = 1; break; }
+                if (fired == 0) { verdict = v_idle; break; }
+                /* Callbacks run Python: re-read what they may change. */
+                PyObject *now2 = PyObject_GetAttr(clock, s_now);
+                if (now2 == NULL) { failed = 1; break; }
+                Py_SETREF(now_obj, now2);
+                PyObject *p = PyObject_GetAttr(sched, s_panicked_attr);
+                if (p == NULL) { failed = 1; break; }
+                Py_SETREF(panicked, p);
+                check_time = 1;
+                continue;
+            }
             budget_used++;
             steps++;
             uint32_t idx = mt_randrange32(rng, (uint32_t)nrun);
@@ -724,6 +985,8 @@ hl_drive(PyObject *module, PyObject *sched)
             failed = 1;
     }
 
+    Py_XDECREF(batch);
+    Py_XDECREF(heap);
     Py_XDECREF(time_limit);
     Py_XDECREF(now_obj);
     Py_XDECREF(clock);
@@ -731,8 +994,13 @@ hl_drive(PyObject *module, PyObject *sched)
     Py_XDECREF(stop_mode);
     Py_XDECREF(rng_obj);
     Py_XDECREF(runnable);
-    if (failed)
+    if (failed) {
+        dr_exits[DX_ERROR]++;
         return NULL;
+    }
+    dr_exits[verdict == v_stopped ? DX_STOPPED :
+             verdict == v_timeout ? DX_TIMEOUT :
+             verdict == v_steps ? DX_STEPS : DX_IDLE]++;
     Py_INCREF(verdict);
     return verdict;
 
@@ -744,9 +1012,12 @@ ineligible:
     Py_XDECREF(stop_mode);
     Py_XDECREF(rng_obj);
     Py_XDECREF(runnable);
+    dr_exits[DX_INELIGIBLE]++;
     Py_RETURN_NONE;
 
 fail_entry:
+    dr_exits[DX_ERROR]++;
+    Py_XDECREF(heap);
     Py_XDECREF(time_limit);
     Py_XDECREF(now_obj);
     Py_XDECREF(clock);
@@ -2292,6 +2563,51 @@ hl_vc_le(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 /* ---- stats + bind ---- */
 
 static PyObject *
+hl_drive_stats(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const char *names[DX_N] = {
+        "stopped", "timeout", "steps", "idle", "ineligible", "error",
+    };
+    int reset = 0;
+    if (nargs > 1) {
+        PyErr_SetString(PyExc_TypeError, "drive_stats([reset])");
+        return NULL;
+    }
+    if (nargs == 1) {
+        reset = PyObject_IsTrue(args[0]);
+        if (reset < 0)
+            return NULL;
+    }
+    PyObject *exits = PyDict_New();
+    PyObject *result = NULL;
+    if (exits == NULL)
+        return NULL;
+    for (int i = 0; i < DX_N; i++) {
+        PyObject *v = PyLong_FromLongLong(dr_exits[i]);
+        if (v == NULL || PyDict_SetItemString(exits, names[i], v) < 0) {
+            Py_XDECREF(v);
+            goto done;
+        }
+        Py_DECREF(v);
+    }
+    result = Py_BuildValue("{sLsOs{sLsL}sL}",
+                           "calls", dr_calls,
+                           "exits", exits,
+                           "timers_fired",
+                           "ready", dr_fired_ready,
+                           "callback", dr_fired_callback,
+                           "callbacks_raised", dr_callback_raised);
+    if (result != NULL && reset) {
+        dr_calls = dr_fired_ready = dr_fired_callback = 0;
+        dr_callback_raised = 0;
+        memset(dr_exits, 0, sizeof(dr_exits));
+    }
+done:
+    Py_DECREF(exits);
+    return result;
+}
+
+static PyObject *
 hl_fastops_stats(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     static const char *names[OP_N] = {
@@ -2465,11 +2781,14 @@ hl_bind_fastops(PyObject *module, PyObject *args)
 
 static PyMethodDef hl_methods[] = {
     {"bind", hl_bind, METH_VARARGS,
-     "bind(Goroutine, TaskletGoroutine, GState, TaskletOrNone): cache slot "
-     "offsets, state constants and the continuation switch."},
-    {"drive", hl_drive, METH_O,
-     "drive(scheduler) -> verdict str, or None when the compiled loop "
-     "cannot run this scheduler (pure loop takes over)."},
+     "bind(Goroutine, TaskletGoroutine, GState, TaskletOrNone, TimerHandle): "
+     "cache slot offsets, state constants and the continuation switch."},
+    {"drive", (PyCFunction)hl_drive, METH_FASTCALL,
+     "drive(scheduler, advance_clock) -> verdict str, or None when the "
+     "compiled loop cannot run this scheduler (pure loop takes over)."},
+    {"drive_stats", (PyCFunction)hl_drive_stats, METH_FASTCALL,
+     "drive_stats(reset=False) -> {'calls': n, 'exits': {...}, "
+     "'timers_fired': {'ready': n, 'callback': n}, 'callbacks_raised': n}."},
     {"bind_fastops", hl_bind_fastops, METH_VARARGS,
      "bind_fastops(Channel, _Waiter, _SelectContext, SendCase, RecvCase, "
      "Mutex, MutexTicket, RWMutex, RWTicket, Trace, Goroutine, "
@@ -2558,6 +2877,9 @@ PyInit__hotloop(void)
     INTERN(s_resume, "resume");
     INTERN(s_state, "state");
     INTERN(s_ended_at, "ended_at");
+    INTERN(s_now_attr, "_now");
+    INTERN(s_heap, "_heap");
+    INTERN(s_ready, "ready");
     INTERN(v_stopped, "stopped");
     INTERN(v_timeout, "timeout");
     INTERN(v_steps, "steps");

@@ -15,7 +15,11 @@ three behind one stable surface:
   Returns ``None`` when unavailable; the scheduler then runs its pure loop.
   The compiled loop engages only when nothing observable differs: no trace
   consumer, no fault injector, no observe hooks, structured stop conditions
-  and the stock RNG (see ``Scheduler.run_until_quiescent``).
+  and the stock RNG (see ``Scheduler.run_until_quiescent``).  It also fires
+  the virtual clock's due timers itself when nothing is runnable, popping
+  the same ``heapq`` timer heap the pure loop uses, so a timer-driven run
+  stays inside it; :func:`drive_stats` counts its calls, exits and fired
+  timers.
 * :class:`VectorClock` — array-backed vector clocks (a dense list indexed
   by gid, matching the simulator's small dense goroutine ids) behind the
   exact API the old sparse dict-backed clock exposed.
@@ -40,7 +44,7 @@ HAS_COMPILED = _c is not None
 #: The scheduling RNG class every Scheduler instantiates by default.
 BatchedRandom: Any = _c.BatchedRandom if _c is not None else PyBatchedRandom
 
-_drive: Optional[Callable[[Any], Optional[str]]] = None
+_drive: Optional[Callable[[Any, bool], Optional[str]]] = None
 _drive_resolved = False
 
 _fastops: Optional[Any] = None
@@ -52,8 +56,9 @@ _fastops_resolved = False
 _force_pure = False
 
 
-def get_drive() -> Optional[Callable[[Any], Optional[str]]]:
-    """The compiled ``drive(scheduler)`` step loop, or None without it.
+def get_drive() -> Optional[Callable[[Any, bool], Optional[str]]]:
+    """The compiled ``drive(scheduler, advance_clock)`` step loop, or None
+    without it.
 
     First call binds the extension to the runtime classes (slot offsets,
     state constants, the continuation switch); that may lazily compile
@@ -66,6 +71,7 @@ def get_drive() -> Optional[Callable[[Any], Optional[str]]]:
         _drive_resolved = True
         if _c is not None:
             try:
+                from .clock import TimerHandle
                 from .goroutine import (
                     Goroutine,
                     GState,
@@ -75,7 +81,8 @@ def get_drive() -> Optional[Callable[[Any], Optional[str]]]:
 
                 mod = tasklet_module()
                 _c.bind(Goroutine, TaskletGoroutine, GState,
-                        mod.Tasklet if mod is not None else None)
+                        mod.Tasklet if mod is not None else None,
+                        TimerHandle)
                 _drive = _c.drive
             except Exception:  # pragma: no cover - defensive: stay pure
                 _drive = None
@@ -123,6 +130,20 @@ def get_fastops() -> Optional[Any]:
     if _force_pure:
         return None
     return _fastops
+
+
+def drive_stats(reset: bool = False) -> Optional[Dict[str, Any]]:
+    """Process-wide counters of the compiled loop, or None without it.
+
+    ``{"calls": n, "exits": {"stopped", "timeout", "steps", "idle",
+    "ineligible", "error"}, "timers_fired": {"ready", "callback"},
+    "callbacks_raised": n}`` — shaped like ``fastops_stats``; ``reset``
+    zeroes them after reading.  A timer-driven run that stays compiled
+    shows a handful of calls and its timers under ``timers_fired``.
+    """
+    if _c is None:
+        return None
+    return _c.drive_stats(reset)
 
 
 class force_pure:
@@ -260,5 +281,5 @@ class VectorClock:
         return f"VC({inner})"
 
 
-__all__ = ["BatchedRandom", "HAS_COMPILED", "VectorClock", "force_pure",
-           "get_drive", "get_fastops"]
+__all__ = ["BatchedRandom", "HAS_COMPILED", "VectorClock", "drive_stats",
+           "force_pure", "get_drive", "get_fastops"]

@@ -6,24 +6,45 @@ goroutine it advances the clock to the earliest deadline and fires the timer
 callbacks.  This makes every timeout-dependent bug in the corpus (Figure 1's
 ``time.After`` race, Figure 12's ``Timer(0)``, ``context.WithTimeout``)
 deterministic and instantaneous.
+
+The heap is a plain ``heapq`` list of ``(deadline, seq, handle)`` entries,
+and it is the only one: the pure scheduler loop fires timers through
+:meth:`VirtualClock.advance_to_next` and ``Scheduler.fire_timers``, the
+fault injector's clock jumps through :meth:`VirtualClock.advance`, and the
+compiled step loop (``repro.runtime._hotloop``) pops the same list with
+``heapq.heappop`` and fires due timers itself, in the same order.
+
+A timer is either a callback with positional ``args`` or, when its
+callback is None, a *ready* timer (:meth:`VirtualClock.ready_after`):
+firing it readies the goroutine in ``args[0]``, which the compiled loop
+does without calling into Python.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class TimerHandle:
-    """A cancellable entry in the virtual-clock timer heap."""
+    """A cancellable entry in the virtual-clock timer heap.
 
-    __slots__ = ("deadline", "callback", "cancelled", "seq")
+    ``cancelled`` is also set when the timer fires, so it reads "no longer
+    pending" — a sleeper polls it to tell its own timer from a spurious
+    wakeup.
+    """
 
-    def __init__(self, deadline: float, seq: int, callback: Callable[[], None]):
+    __slots__ = ("deadline", "callback", "args", "cancelled", "seq")
+
+    def __init__(self, deadline: float, seq: int,
+                 callback: Optional[Callable[..., None]],
+                 args: Tuple[Any, ...] = ()):
         self.deadline = deadline
         self.seq = seq
+        #: Called as ``callback(*args)``; None marks a ready timer.
         self.callback = callback
+        self.args = args
         self.cancelled = False
 
     def cancel(self) -> bool:
@@ -47,18 +68,27 @@ class VirtualClock:
         """Current virtual time in seconds."""
         return self._now
 
-    def call_at(self, deadline: float, callback: Callable[[], None]) -> TimerHandle:
-        """Schedule ``callback`` to run when the clock reaches ``deadline``.
+    def call_at(self, deadline: float, callback: Optional[Callable[..., None]],
+                *args: Any) -> TimerHandle:
+        """Schedule ``callback(*args)`` to run when the clock reaches
+        ``deadline``.
 
         Deadlines in the past fire on the next scheduler idle point.
         """
-        handle = TimerHandle(max(deadline, self._now), next(self._seq), callback)
+        handle = TimerHandle(max(deadline, self._now), next(self._seq),
+                             callback, args)
         heapq.heappush(self._heap, (handle.deadline, handle.seq, handle))
         return handle
 
-    def call_after(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
-        """Schedule ``callback`` ``delay`` seconds from now."""
-        return self.call_at(self._now + max(delay, 0.0), callback)
+    def call_after(self, delay: float, callback: Optional[Callable[..., None]],
+                   *args: Any) -> TimerHandle:
+        """Schedule ``callback(*args)`` ``delay`` seconds from now."""
+        return self.call_at(self._now + max(delay, 0.0), callback, *args)
+
+    def ready_after(self, delay: float, g: Any) -> TimerHandle:
+        """Ready goroutine ``g`` ``delay`` seconds from now (a ready timer:
+        the scheduler calls ``ready(g)`` when it fires)."""
+        return self.call_at(self._now + max(delay, 0.0), None, g)
 
     def next_deadline(self) -> Optional[float]:
         """Earliest pending (non-cancelled) deadline, or None."""

@@ -140,20 +140,18 @@ class Runtime:
 
     def sleep(self, duration: float) -> None:
         """Sleep on the virtual clock, like ``time.Sleep``."""
-        g = self.sched.current
-        self.sched.emit(EventKind.SLEEP, info={"duration": duration})
+        sched = self.sched
+        g = sched.current
+        if sched.trace.active:
+            sched.emit(EventKind.SLEEP, info={"duration": duration})
         if duration <= 0:
-            self.sched.schedule_point()
+            sched.schedule_point()
             return
-        woke = [False]
-
-        def wake() -> None:
-            woke[0] = True
-            self.sched.ready(g)
-
-        self.sched.clock.call_after(duration, wake)
-        while not woke[0]:
-            self.sched.block("time.sleep")
+        timer = sched.clock.ready_after(duration, g)
+        # Re-check after every wakeup: an injected spurious wakeup must not
+        # end the sleep early.  The timer reads cancelled once it fired.
+        while not timer.cancelled:
+            sched.block("time.sleep")
 
     def external_wait(self, what: str, duration: Optional[float] = None) -> None:
         """Block on a modelled external resource (network, disk, subprocess).
@@ -163,21 +161,17 @@ class Runtime:
         ``duration`` the wait completes on the virtual clock; without one the
         goroutine waits forever.
         """
-        g = self.sched.current
-        self.sched.emit(EventKind.EXTERNAL_WAIT, info={"what": what})
+        sched = self.sched
+        g = sched.current
+        sched.emit(EventKind.EXTERNAL_WAIT, info={"what": what})
+        reason = f"external:{what}"
         if duration is None:
             while True:
-                self.sched.block(f"external:{what}", external=True)
+                sched.block(reason, external=True)
             return
-        woke = [False]
-
-        def wake() -> None:
-            woke[0] = True
-            self.sched.ready(g)
-
-        self.sched.clock.call_after(duration, wake)
-        while not woke[0]:
-            self.sched.block(f"external:{what}", external=True)
+        timer = sched.clock.ready_after(duration, g)
+        while not timer.cancelled:
+            sched.block(reason, external=True)
 
     # ------------------------------------------------------------------
     # Channels and select

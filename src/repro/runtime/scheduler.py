@@ -269,7 +269,7 @@ class Scheduler:
         #: The compiled fused step loop (``repro.runtime._ext._hotloop``),
         #: or None.  Only the centralized (coroutine-core) loop can use it;
         #: the thread backend's direct handoff never goes through here.
-        self._hot: Optional[Callable[["Scheduler"], Optional[str]]] = (
+        self._hot: Optional[Callable[["Scheduler", bool], Optional[str]]] = (
             None if self._direct else get_drive())
         #: Compiled channel/select/mutex fast ops (the same C module), or
         #: None.  Unlike ``_hot`` these work on every backend: each op
@@ -557,9 +557,10 @@ class Scheduler:
         self._main_verdict = None
         direct = self._direct
         # The compiled fused loop stands in for the whole per-step body
-        # below whenever nothing observable differs from the pure path: a
-        # structured stop condition, no trace consumer, no injector, no
-        # observe/explore hooks, and the stock RNG (checked inside drive).
+        # below — timer firing included — whenever nothing observable
+        # differs from the pure path: a structured stop condition, no trace
+        # consumer, no injector, no observe/explore hooks, and the stock RNG
+        # (checked inside drive).
         hot = self._hot if stop_mode is not None else None
         try:
             while True:
@@ -567,15 +568,13 @@ class Scheduler:
                         and self.on_step is None
                         and self.annotate_pick is None
                         and not self.trace.active):
-                    verdict = hot(self)
+                    verdict = hot(self, advance_clock)
                     if verdict is None:
                         # Static mismatch (e.g. a scripted RNG): the pure
                         # loop takes over for the rest of this call.
                         hot = None
                     elif verdict == "idle":
-                        if advance_clock and self.clock.has_pending():
-                            self.fire_timers(self.clock.advance_to_next())
-                            continue
+                        # drive fired every pending timer already.
                         return "quiescent"
                     else:
                         return verdict
@@ -609,10 +608,14 @@ class Scheduler:
 
     def fire_timers(self, fired) -> None:
         """Run fired timer callbacks in scheduler context (one trace event
-        each), shared by the main loop and the fault injector's clock jumps."""
+        each), shared by the pure main loop and the fault injector's clock
+        jumps.  The compiled loop does the same for the timers it fires."""
         for handle in fired:
             self.emit(EventKind.TIMER_FIRE, gid=0)
-            handle.callback()
+            if handle.callback is None:
+                self.ready(handle.args[0])
+            else:
+                handle.callback(*handle.args)
 
     def _advance(self) -> Optional[Goroutine]:
         """One scheduler-loop decision, in scheduler context on whichever
@@ -734,13 +737,14 @@ class Scheduler:
         self._runnable.remove(g)
         g.state = GState.BLOCKED
         g.block_reason = "inject.delay"
-
-        def wake() -> None:
-            g.block_reason = None
-            self.ready(g)
-
-        self.clock.call_after(max(duration, 0.0), wake)
+        self.clock.call_after(max(duration, 0.0), self._end_delay, g)
         return True
+
+    def _end_delay(self, g: Goroutine) -> None:
+        # Not a ready timer: the parked goroutine is not inside block(), so
+        # its block reason is cleared here, whatever state it is in now.
+        g.block_reason = None
+        self.ready(g)
 
     def inject_kill(self, g: Goroutine) -> bool:
         """Mark a goroutine dead: it unwinds (state ``KILLED``) at its next

@@ -50,6 +50,28 @@ def test_backend_comparison_section(monkeypatch):
     assert "all schedule digests equal: True" in rendered
 
 
+def test_fallbacks_section_reports_drive_counters():
+    from repro.net.demo import loadgen_summary
+    from repro.runtime._hotloop import drive_stats
+
+    drive_stats(True)
+    loadgen_summary(seed=0, clients=2, requests=10)
+    section = bench.collect_runtime_fallbacks()
+    rendered = bench.render({"python": "3.11", "cpus": 1,
+                             "fallbacks": section})
+    if not bench.HAS_COMPILED:
+        assert section["drive"] == {}
+        assert "drive:" not in rendered
+        return
+    drive = section["drive"]
+    # The whole run stays in the compiled loop: a couple of calls, every
+    # arrival sleep and message delivery fired inside it.
+    assert drive["calls"] <= 5
+    assert drive["timers_fired"]["ready"] >= 20
+    assert drive["timers_fired"]["callback"] >= 40
+    assert "  drive: " in rendered
+
+
 def _doc(sps_fast, sps_traced, backend="tasklet"):
     return {"single": {"pingpong": {
         "fast": {"steps_per_s": sps_fast, "backend": backend},
