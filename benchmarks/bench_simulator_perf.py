@@ -86,8 +86,8 @@ def test_perf_goroutine_spawn(benchmark):
 
 def test_perf_fastpath_pingpong(benchmark):
     """The sweep configuration: no observer, no kept trace.  This is the
-    number the scheduler fast path (direct handoff, batched RNG, gated
-    trace allocation) is accountable for."""
+    number the scheduler fast path (continuation switch, compiled step
+    loop, batched RNG, gated trace allocation) is accountable for."""
     program = WORKLOADS["pingpong"]
     result = benchmark(lambda: run(program, seed=1, keep_trace=False))
     assert result.status == "ok"

@@ -351,9 +351,10 @@ def run_backend_comparison(repeats: int = 3, seed: int = 1) -> Dict[str, Any]:
     """The ``backends`` section: thread vs coroutine, side by side.
 
     For every single-run workload, fast-path steps/s on the opt-in
-    ``backend="thread"`` compatibility mode next to the coroutine default,
-    plus the determinism witness: one traced run per backend and whether
-    the schedule digests came back byte-identical.
+    ``backend="thread"`` compatibility mode (one OS thread per goroutine,
+    two lock handoffs per step through the shared scheduler loop) next to
+    the coroutine default, plus the determinism witness: one traced run
+    per backend and whether the schedule digests came back byte-identical.
     """
     from .parallel.summary import schedule_digest
 
@@ -1331,9 +1332,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "savings; baseline: BENCH_static.json)")
     parser.add_argument("--compare-backends", action="store_true",
                         help="run only the backend comparison (thread "
-                             "compatibility mode vs the coroutine default, "
-                             "steps/s side by side + schedule-digest "
-                             "equality) instead")
+                             "compatibility mode, one OS thread per "
+                             "goroutine, vs the coroutine default; steps/s "
+                             "side by side + schedule-digest equality) "
+                             "instead")
     parser.add_argument("--baseline", metavar="FILE",
                         help="print a delta table against a committed "
                              "benchmark document (e.g. BENCH_simulator.json)")

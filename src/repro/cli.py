@@ -811,9 +811,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "round trips, RPC echo, loadgen throughput; "
                             "baseline: BENCH_net.json)")
     bench.add_argument("--compare-backends", action="store_true",
-                       help="also time each workload on the thread backend "
-                            "and check digest equality vs the coroutine "
-                            "core (adds a 'backends' section)")
+                       help="also time each workload on the thread "
+                            "compatibility backend (one OS thread per "
+                            "goroutine) and check digest equality vs the "
+                            "coroutine core (adds a 'backends' section)")
     bench.add_argument("--guard", metavar="FILE",
                        help="exit 1 if any fast/traced cell dropped more "
                             "than --guard-threshold vs FILE")

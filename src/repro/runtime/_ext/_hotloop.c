@@ -904,9 +904,9 @@ hl_drive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 /* BLOCKED: block() already dequeued it before yielding. */
             }
             else {
-                /* Generic path (thread-compat hosts, greenlet or generator
-                 * vehicles in a centralized run): call resume() and do the
-                 * after-resume bookkeeping through ordinary attributes. */
+                /* Generic path (thread hosts, generator-backed goroutines):
+                 * call resume() and do the after-resume bookkeeping through
+                 * ordinary attributes. */
                 if (PyObject_SetAttr(sched, s_current, g) < 0) {
                     Py_DECREF(g);
                     failed = 1;

@@ -63,8 +63,8 @@ def get_drive() -> Optional[Callable[[Any, bool], Optional[str]]]:
     First call binds the extension to the runtime classes (slot offsets,
     state constants, the continuation switch); that may lazily compile
     ``_ctasklet`` for the fast switching path.  ``drive`` still works —
-    through a generic ``resume()`` call — for greenlet/generator vehicles
-    and thread-compat hosts driven by the centralized loop.
+    through a generic ``resume()`` call — for generator-backed goroutines
+    and thread hosts.
     """
     global _drive, _drive_resolved
     if not _drive_resolved:

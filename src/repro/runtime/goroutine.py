@@ -6,16 +6,15 @@ or a single goroutine holding the *token*.  Because of this one-runner
 invariant, primitive state needs no host-level locking and every
 interleaving is fully determined by the scheduler's seeded choices.
 
-Four interchangeable vehicles implement the handoff; ``backend="coroutine"``
+Three interchangeable vehicles implement the handoff; ``backend="coroutine"``
 (the default) resolves to the best continuation vehicle available:
 
-* ``"greenlet"``: every goroutine is a greenlet on the scheduler's own
-  thread; the handoff is a userspace stack switch with no locks and no OS
-  context switch at all.  Needs the optional :mod:`greenlet` package.
-* ``"tasklet"``: the same single-threaded stack switching, provided by the
-  in-tree ``repro.runtime._ext._ctasklet`` C extension (compiled lazily
-  with the system toolchain; CPython 3.11 / x86-64 Linux).  This is what
-  ``"coroutine"`` resolves to when greenlet is not installed.
+* ``"tasklet"``: every goroutine is a single-threaded continuation on the
+  scheduler's own thread, provided by the in-tree
+  ``repro.runtime._ext._ctasklet`` C extension (compiled lazily with the
+  system toolchain; CPython 3.11 / x86-64 Linux).  The handoff is a
+  userspace stack switch with no locks and no OS context switch.  This is
+  what ``"coroutine"`` resolves to wherever the extension builds.
 * ``"generator"``: the pure-Python trampoline fallback.  Goroutine bodies
   written as *generator functions* run as true continuations (each
   ``yield`` is a schedule point); plain-function bodies ride thread-compat
@@ -23,11 +22,9 @@ Four interchangeable vehicles implement the handoff; ``backend="coroutine"``
 * ``"thread"``: one daemon host thread per goroutine — the original
   backend, kept as an opt-in compatibility mode.  The token moves through
   raw ``threading.Lock`` binary semaphores — one per goroutine plus one
-  owned by the scheduler's main loop.  Handoffs are *direct*: a yielding
-  goroutine runs the scheduler's per-step logic inline on its own host
-  (see :meth:`Scheduler._handback`) and wakes the next goroutine's thread
-  itself, so a step costs one OS context switch instead of the two a
-  bounce through the scheduler thread would pay — and zero on a self-pick.
+  owned by the scheduler's main loop.  Every yield hands the token back to
+  the main loop, which makes the next scheduling decision exactly as it
+  does for the continuation vehicles.
 
 All vehicles produce bit-identical schedules — the token protocol and the
 seeded decision sequence are the same, only the vehicle differs — which the
@@ -57,14 +54,6 @@ from .errors import GoPanic, Killed, SchedulerStateError
 #: ``run(..., host_join_timeout=...)``; sweep workers shrink it so one
 #: pathological seed cannot stall a whole sweep (see :mod:`repro.parallel`).
 HOST_JOIN_TIMEOUT = 5.0
-
-try:  # optional single-thread backend
-    import greenlet as _greenlet
-except ImportError:  # pragma: no cover - greenlet not installed in CI image
-    _greenlet = None
-
-#: True when the optional greenlet backend can actually be used.
-HAS_GREENLET = _greenlet is not None
 
 # The in-tree stack-switching extension (lazy: first use compiles it with
 # the system toolchain and caches the .so; see repro.runtime._ext).
@@ -113,11 +102,9 @@ class Goroutine:
     Token protocol (thread backend): the main loop's handoff lock and the
     goroutine's private lock are both created *held*.  ``resume`` releases
     the goroutine's lock (waking it) and blocks acquiring the main-loop
-    lock; a yielding goroutine runs the scheduler's continuation
-    (``Scheduler._handback``) inline on its own host, which either wakes
-    the next goroutine's private lock directly, tells this host to keep
-    running (self-pick), or releases the main-loop lock when the scheduler
-    thread must act.  Strict alternation under the one-runner invariant
+    lock; a yielding goroutine releases the main-loop lock
+    (``Scheduler._handback``) and parks on its own lock until the main loop
+    picks it again.  Strict alternation under the one-runner invariant
     means each lock is released exactly once per acquire.
     """
 
@@ -171,7 +158,7 @@ class Goroutine:
         # Mailbox used by rendezvous primitives to hand a value to a waiter.
         self.mailbox: Any = None
 
-        #: The owning scheduler: yields run its continuation inline
+        #: The owning scheduler: yields hand the token back to its main loop
         #: (``_handback``), and ``kill`` pairs with its main-loop handoff lock.
         self._sched = scheduler
         self._my_lock = threading.Lock()
@@ -192,8 +179,8 @@ class Goroutine:
         self._thread.start()
 
     def resume(self) -> None:
-        """Hand the token to this goroutine; park the main loop until some
-        goroutine's inline continuation decides the scheduler must act."""
+        """Hand the token to this goroutine; park the main loop until the
+        goroutine yields, blocks or ends."""
         self.state = GState.RUNNING
         self._my_lock.release()
         self._sched._handoff.acquire()
@@ -243,16 +230,9 @@ class Goroutine:
     # ------------------------------------------------------------------
 
     def yield_to_scheduler(self) -> None:
-        """Give the token back and park until we are resumed.
-
-        The scheduler's continuation runs right here, on this host: it
-        either hands the token straight to the next goroutine (one OS
-        switch), wakes the main loop (timers/termination), or — when the
-        RNG picked *us* again — tells us to keep running without parking
-        at all (zero switches).
-        """
-        if self._sched._handback(self, terminal=False) != "self":
-            self._my_lock.acquire()
+        """Give the token back to the main loop and park until resumed."""
+        self._sched._handback()
+        self._my_lock.acquire()
         if self._killed:
             raise Killed()
         if self.pending_error is not None:
@@ -286,10 +266,8 @@ class Goroutine:
         try:
             self._execute()
         finally:
-            # Final token return: run the continuation once more so the
-            # terminal state is recorded and the token moves on (to the
-            # next goroutine directly, or back to the main loop).
-            self._sched._handback(self, terminal=True)
+            # Final token return: the main loop records the terminal state.
+            self._sched._handback()
 
     def on_current_host(self) -> bool:
         """True when the calling code is running on this goroutine's own
@@ -310,92 +288,13 @@ class Goroutine:
         return f"<Goroutine {self.gid} {self.name} {self.state}>"
 
 
-class GreenletGoroutine(Goroutine):
-    """A goroutine hosted on a greenlet instead of an OS thread.
-
-    All goroutines (and the scheduler) share one OS thread; ``resume`` /
-    ``yield_to_scheduler`` become userspace stack switches, eliminating the
-    two lock operations and the kernel context switch per scheduling step.
-    Requires the optional :mod:`greenlet` package (``HAS_GREENLET``).
-    """
-
-    __slots__ = ("_glet", "_hub")
-
-    def __init__(self, *args: Any, hub: Any = None, **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        #: The scheduler's own greenlet: the parent every goroutine greenlet
-        #: returns to when it finishes or yields.
-        self._hub = hub
-        self._glet: Any = None
-
-    # -- scheduler side -------------------------------------------------
-
-    def start(self) -> None:
-        if _greenlet is None:  # pragma: no cover - guarded by the scheduler
-            raise RuntimeError("greenlet backend requested but the greenlet "
-                               "package is not installed")
-        # parent=hub: when the goroutine finishes, control returns to the
-        # scheduler's greenlet no matter which goroutine spawned it.
-        self._glet = _greenlet.greenlet(self._execute, parent=self._hub)
-        self.state = GState.RUNNABLE
-
-    def resume(self) -> None:
-        self.state = GState.RUNNING
-        self._glet.switch()
-
-    def kill(self, join_timeout: Optional[float] = None) -> None:
-        """Unwind the goroutine's greenlet by raising ``Killed`` inside it.
-
-        ``join_timeout`` is accepted for interface parity but unused: a
-        greenlet unwinds synchronously inside ``throw`` — unless user code
-        swallows the signal and yields again, which is recorded as a stuck
-        host exactly like a thread that outlives its join.
-        """
-        if self.state in GState.TERMINAL or self._glet is None:
-            return
-        self._killed = True
-        # Two attempts: the first throw unwinds well-behaved code; a second
-        # covers a handler that swallowed Killed once.  After that the
-        # goroutine is stuck by the same definition the thread backend uses.
-        for _ in range(2):
-            if self._glet.dead:
-                break
-            self._glet.throw(Killed)
-            if self._glet.dead or self.state in GState.TERMINAL:
-                break
-        else:
-            timeout = HOST_JOIN_TIMEOUT if join_timeout is None else join_timeout
-            self._mark_stuck(timeout)
-            return
-        if self.state not in GState.TERMINAL:
-            # Killed before its first resume: the body never ran, so
-            # ``_execute`` never classified the exit.
-            self.state = GState.KILLED
-
-    def on_current_host(self) -> bool:
-        return (self._glet is not None
-                and _greenlet.getcurrent() is self._glet)
-
-    # -- goroutine side -------------------------------------------------
-
-    def yield_to_scheduler(self) -> None:
-        self._hub.switch()
-        if self._killed:
-            raise Killed()
-        if self.pending_error is not None:
-            error = self.pending_error
-            self.pending_error = None
-            raise error
-
-
 class TaskletGoroutine(Goroutine):
     """A goroutine hosted on an in-tree C continuation (``_ctasklet``).
 
-    Semantically identical to :class:`GreenletGoroutine` — all goroutines
-    share the scheduler's OS thread and the handoff is a userspace stack
-    switch — but carried by ``repro.runtime._ext._ctasklet`` instead of the
-    optional greenlet package, so the coroutine core works out of the box
-    on CPython 3.11 / x86-64 Linux with nothing but a C compiler.
+    All goroutines share the scheduler's OS thread and the handoff is a
+    userspace stack switch, carried by ``repro.runtime._ext._ctasklet``, so
+    the coroutine core works out of the box on CPython 3.11 / x86-64 Linux
+    with nothing but a C compiler.
     """
 
     __slots__ = ("_tk", "_hub")
@@ -423,9 +322,10 @@ class TaskletGoroutine(Goroutine):
 
     def kill(self, join_timeout: Optional[float] = None) -> None:
         """Unwind the goroutine's continuation by raising ``Killed`` inside
-        it (same two-attempt policy as the greenlet vehicle; a continuation
-        that swallows both is recorded as a stuck host and its stack is
-        abandoned, mirroring an OS thread that outlives its join)."""
+        it.  Two attempts: the first throw unwinds well-behaved code; a
+        second covers a handler that swallowed ``Killed`` once.  A
+        continuation that swallows both is recorded as a stuck host and its
+        stack is abandoned, mirroring an OS thread that outlives its join."""
         if self.state in GState.TERMINAL or self._tk is None:
             return
         self._killed = True
@@ -560,6 +460,6 @@ class GeneratorGoroutine(Goroutine):
         raise SchedulerStateError(
             f"goroutine {self.gid} ({self.name}) is generator-backed: its "
             "body must use a bare `yield` as the schedule point and cannot "
-            "call blocking primitives or gosched() (only the thread, "
-            "greenlet and tasklet vehicles can suspend nested frames)"
+            "call blocking primitives or gosched() (only the thread and "
+            "tasklet vehicles can suspend nested frames)"
         )

@@ -374,8 +374,8 @@ class RunResult:
         stuck_host_threads: goroutines whose host threads survived the kill
             join timeout at teardown (previously dropped silently).
         backend: the resolved goroutine vehicle that ran this simulation
-            (``"greenlet"`` | ``"tasklet"`` | ``"generator"`` |
-            ``"thread"``) — what ``backend="coroutine"`` actually picked.
+            (``"tasklet"`` | ``"generator"`` | ``"thread"``) — what
+            ``backend="coroutine"`` actually picked.
         compiled: True when the scheduler had compiled accelerators loaded
             (the fused step loop and/or the channel/select/sync fast ops);
             False on pure-Python runs (``REPRO_NO_CEXT=1``, off-platform,
@@ -527,11 +527,12 @@ def run(
             the schedule — and lands on ``result.observation``.
         backend: goroutine host backend.  ``"coroutine"`` (the default)
             resolves to the best single-threaded continuation vehicle
-            available — ``"greenlet"``, then the in-tree ``"tasklet"`` C
-            extension, then the pure-Python ``"generator"`` trampoline.
-            ``"thread"`` is the opt-in compatibility mode (one OS thread
-            per goroutine).  A specific vehicle can also be named directly;
-            unavailable ones fall back with a once-per-process warning.
+            available — the in-tree ``"tasklet"`` C extension, else the
+            pure-Python ``"generator"`` trampoline.  ``"thread"`` is the
+            opt-in compatibility mode (one OS thread per goroutine, every
+            step bounced through the same scheduler loop).  A specific
+            vehicle can also be named directly; an unavailable
+            ``"tasklet"`` falls back with a once-per-process warning.
             Every backend produces bit-identical schedules; the resolved
             vehicle is surfaced as ``result.backend``.
         host_join_timeout: *total* teardown budget in seconds for unwinding

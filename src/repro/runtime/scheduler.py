@@ -23,20 +23,17 @@ from __future__ import annotations
 
 import inspect
 import os
-import random
 import sys
 import threading
 import time as _time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .clock import VirtualClock
-from .errors import Killed, SchedulerStateError, StepLimitExceeded
+from .errors import SchedulerStateError, StepLimitExceeded
 from ._hotloop import BatchedRandom, get_drive, get_fastops
 from .goroutine import (
-    HAS_GREENLET,
     GeneratorGoroutine,
     Goroutine,
-    GreenletGoroutine,
     GState,
     TaskletGoroutine,
     has_tasklet,
@@ -53,18 +50,13 @@ _INTERNAL_PACKAGES = ("runtime", "chan", "sync", "stdlib")
 _internal_dirs: Optional[Tuple[str, ...]] = None
 
 #: Goroutine host backends.  ``"coroutine"`` (the default) resolves to the
-#: best single-threaded continuation vehicle available — greenlet, then the
-#: in-tree ``_ctasklet`` C extension, then the pure-Python generator
-#: trampoline.  ``"thread"`` is the always-available opt-in compatibility
-#: mode (one daemon OS thread per goroutine); the remaining names request a
-#: specific vehicle and fall back (with a one-time warning) when it is
-#: unavailable.  Every backend produces bit-identical schedules.
-BACKENDS = ("coroutine", "thread", "greenlet", "tasklet", "generator")
-
-#: Backends whose goroutines share the scheduler's OS thread.  For these the
-#: main loop drives every step itself (``_direct`` is False); only the
-#: ``"thread"`` backend uses the inline direct-handoff continuation.
-COROUTINE_BACKENDS = frozenset({"greenlet", "tasklet", "generator"})
+#: best single-threaded continuation vehicle available — the in-tree
+#: ``_ctasklet`` C extension, else the pure-Python generator trampoline.
+#: ``"thread"`` is the always-available opt-in compatibility mode (one
+#: daemon OS thread per goroutine); the remaining names request a specific
+#: vehicle and fall back (with a one-time warning) when it is unavailable.
+#: Every backend produces bit-identical schedules.
+BACKENDS = ("coroutine", "thread", "tasklet", "generator")
 
 
 def _internal_frame_dirs() -> Tuple[str, ...]:
@@ -144,37 +136,24 @@ def backend_fallbacks() -> Dict[str, int]:
     return dict(_fallback_counts)
 
 
-def _best_coroutine_backend() -> str:
-    if HAS_GREENLET:
-        return "greenlet"
-    if has_tasklet():
-        return "tasklet"
-    return "generator"
-
-
 def resolve_backend(backend: str) -> str:
     """Map a requested backend name to the concrete vehicle that will run.
 
     ``"coroutine"`` picks the best continuation vehicle silently; asking for
-    a specific unavailable vehicle (``"greenlet"`` without the package,
-    ``"tasklet"`` off-platform) falls back to the next-best one with a
-    once-per-process ``RuntimeWarning``.  Fallbacks never change schedules —
-    every vehicle draws the identical seeded decision sequence.
+    ``"tasklet"`` where the extension is unavailable falls back to
+    ``"generator"`` with a once-per-process ``RuntimeWarning``.  Fallbacks
+    never change schedules — every vehicle draws the identical seeded
+    decision sequence.
     """
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown goroutine backend {backend!r}; expected one of {BACKENDS}")
     if backend == "coroutine":
-        return _best_coroutine_backend()
-    if backend == "greenlet" and not HAS_GREENLET:
-        fallback = "tasklet" if has_tasklet() else "generator"
-        _warn_fallback(backend, fallback, "the greenlet package is not installed")
-        return fallback
+        return "tasklet" if has_tasklet() else "generator"
     if backend == "tasklet" and not has_tasklet():
-        fallback = "greenlet" if HAS_GREENLET else "generator"
-        _warn_fallback(backend, fallback,
+        _warn_fallback(backend, "generator",
                        "the _ctasklet extension is unavailable on this platform")
-        return fallback
+        return "generator"
     return backend
 
 
@@ -192,10 +171,6 @@ def _warn_fallback(requested: str, fallback: str, why: str) -> None:
         RuntimeWarning,
         stacklevel=4,
     )
-
-
-# Backwards-compatible alias (pre-coroutine-core name).
-_resolve_backend = resolve_backend
 
 
 class Scheduler:
@@ -231,25 +206,13 @@ class Scheduler:
         self.preempt = preempt
         #: The backend name the caller asked for (possibly ``"coroutine"``).
         self.requested_backend = backend
-        #: The concrete vehicle carrying the token: "greenlet", "tasklet",
-        #: "generator" (single-thread continuations) or "thread" (compat).
+        #: The concrete vehicle carrying the token: "tasklet", "generator"
+        #: (single-thread continuations) or "thread" (compat).
         self.backend = resolve_backend(backend)
-        #: True only for the thread backend: yields run the scheduler's
-        #: continuation inline on the yielding host (direct handoff).  The
-        #: coroutine backends bounce every yield back to the main loop —
-        #: a userspace switch, so there is nothing to save by not bouncing.
-        self._direct = self.backend == "thread"
         self._hub: Any = None
-        if self.backend == "greenlet":
-            import greenlet
-
-            # The scheduler loop runs on whatever greenlet constructs the
-            # Scheduler (the main greenlet of the calling thread); every
-            # goroutine greenlet yields back to it.
-            self._hub = greenlet.getcurrent()
-        elif self.backend == "tasklet":
-            # Same pattern: the calling thread's main continuation is the
-            # hub every goroutine tasklet switches back to.
+        if self.backend == "tasklet":
+            # The calling thread's main continuation is the hub every
+            # goroutine tasklet switches back to.
             self._hub = tasklet_module().current()
 
         self.goroutines: List[Goroutine] = []
@@ -267,18 +230,17 @@ class Scheduler:
         #: :meth:`_teardown_park`).
         self._teardown_g: Optional[Goroutine] = None
         #: The compiled fused step loop (``repro.runtime._ext._hotloop``),
-        #: or None.  Only the centralized (coroutine-core) loop can use it;
-        #: the thread backend's direct handoff never goes through here.
+        #: or None.  Every backend can use it: tasklets switch inline, other
+        #: vehicles go through a generic ``resume()`` call.
         self._hot: Optional[Callable[["Scheduler", bool], Optional[str]]] = (
-            None if self._direct else get_drive())
+            get_drive())
         #: Compiled channel/select/mutex fast ops (the same C module), or
         #: None.  Unlike ``_hot`` these work on every backend: each op
         #: re-checks engagement (trace inactive, no injector, goroutine
         #: context) at entry and returns ``NotImplemented`` to defer to the
         #: pure path when any observer is attached.
         self._fastops = get_fastops()
-        # Per-call loop state, shared with the inline continuations that
-        # goroutine hosts run in ``_handback`` (all token-serialized).
+        # Per-call loop state (read by the compiled loop as well).
         self._stop_when: Optional[Callable[[], bool]] = None
         #: Structured stop condition (``("main", g)`` / ``("panic", None)``)
         #: mirroring ``_stop_when`` when the caller used one of the standard
@@ -288,13 +250,10 @@ class Scheduler:
         self._time_limit: Optional[float] = None
         self._budget = 0
         self._budget_used = 0
-        #: Why the main loop was woken: one of the ``run_until_quiescent``
-        #: outcome strings, ``"idle"`` (no runnable goroutine — the main
-        #: thread must fire timers or declare quiescence), or ``"error"``
-        #: (scheduler-context code raised on a goroutine host; see
-        #: ``_loop_error``).
+        #: Why ``_advance`` found nothing to run: one of the
+        #: ``run_until_quiescent`` outcome strings, or ``"idle"`` (no
+        #: runnable goroutine — fire timers or declare quiescence).
         self._main_verdict: Optional[str] = None
-        self._loop_error: Optional[BaseException] = None
         #: First goroutine to panic, if any (aborts the whole run, as in Go).
         self.panicked: Optional[Goroutine] = None
         #: Optional fault injector (:mod:`repro.inject`): pulsed once per
@@ -415,10 +374,8 @@ class Scheduler:
             creation_site=creation_site,
         )
         backend = self.backend
-        if backend == "greenlet":
-            g: Goroutine = GreenletGoroutine(hub=self._hub, **common)
-        elif backend == "tasklet":
-            g = TaskletGoroutine(hub=self._hub, **common)
+        if backend == "tasklet":
+            g: Goroutine = TaskletGoroutine(hub=self._hub, **common)
         elif backend == "generator" and inspect.isgeneratorfunction(fn):
             g = GeneratorGoroutine(**common)
         else:
@@ -523,17 +480,9 @@ class Scheduler:
           * ``"timeout"``   — the virtual clock passed ``time_limit`` (the
             observation-window cutoff for programs that run forever).
 
-        Thread backend: after the first ``resume`` the token moves between
-        goroutine hosts *directly* — each yield runs :meth:`_handback` on the
-        yielding host, which performs this loop's per-step logic inline and
-        wakes the next host itself.  The main thread parks here and only
-        wakes when a continuation leaves a verdict (timers to fire, loop
-        done).  Coroutine backends (greenlet/tasklet/generator): every yield
-        comes straight back into this loop, which does the bookkeeping
-        itself — switches are userspace-cheap and the whole simulation
-        shares one OS thread anyway.  Thread-compat hosts spawned under a
-        coroutine backend (plain functions on the generator backend) bounce
-        through the same centralized path.
+        Every backend steps through this one loop: each yield comes straight
+        back here (a continuation switch, or a lock handoff from a thread
+        host), and this loop does the bookkeeping itself.
         """
         if stop_mode is not None:
             if stop_when is not None:
@@ -555,7 +504,6 @@ class Scheduler:
         self._budget = self.max_steps if step_budget is None else step_budget
         self._budget_used = 0
         self._main_verdict = None
-        direct = self._direct
         # The compiled fused loop stands in for the whole per-step body
         # below — timer firing included — whenever nothing observable
         # differs from the pure path: a structured stop condition, no trace
@@ -582,13 +530,9 @@ class Scheduler:
                 if g is not None:
                     self._current = g
                     g.resume()
-                    if not direct:
-                        # Coroutine core: the yield switched (or bounced)
-                        # straight back here.
-                        self._current = None
-                        self._after_resume(g)
-                        continue
-                    # Thread: some host's continuation woke us with a verdict.
+                    self._current = None
+                    self._after_resume(g)
+                    continue
                 verdict = self._main_verdict
                 self._main_verdict = None
                 if verdict == "idle":
@@ -596,11 +540,6 @@ class Scheduler:
                         self.fire_timers(self.clock.advance_to_next())
                         continue
                     return "quiescent"
-                if verdict == "error":
-                    error = self._loop_error
-                    self._loop_error = None
-                    assert error is not None
-                    raise error
                 return verdict
         finally:
             self._stop_when = None
@@ -618,9 +557,9 @@ class Scheduler:
                 handle.callback(*handle.args)
 
     def _advance(self) -> Optional[Goroutine]:
-        """One scheduler-loop decision, in scheduler context on whichever
-        host holds the token.  Returns the goroutine to run next, or ``None``
-        after stashing the reason in ``_main_verdict``."""
+        """One scheduler-loop decision, in scheduler context.  Returns the
+        goroutine to run next, or ``None`` after stashing the reason in
+        ``_main_verdict``."""
         while True:
             if self._stop_when is not None and self._stop_when():
                 self._main_verdict = "stopped"
@@ -647,58 +586,22 @@ class Scheduler:
                 if self.on_step is not None:
                     self.on_step(self._steps, len(runnable), g.gid)
                 return g
-            # No runnable goroutine: only the main thread may fire timers
-            # or declare the run quiescent.
+            # No runnable goroutine: the caller fires timers or declares
+            # the run quiescent.
             self._main_verdict = "idle"
             return None
 
-    def _handback(self, g: Goroutine, terminal: bool) -> Optional[str]:
-        """Thread-backend continuation, run on ``g``'s own host right after
-        it yields (or its body ends).  Records the yield, makes the next
-        scheduling decision inline, and moves the token with at most one OS
-        context switch:
-
-          * next pick is another goroutine — wake its private lock directly;
-          * next pick is ``g`` itself — return ``"self"`` so the caller keeps
-            running without parking (no switch at all);
-          * the main loop must act (timers, termination, a scheduler-context
-            exception) — stash a verdict and release the main handoff lock.
-        """
-        if self._shutting_down:
-            # Teardown: hand the token straight back to ``kill``'s timed
-            # acquire; no bookkeeping (matches the historical semantics where
-            # teardown-killed goroutines emit no GO_END event).
-            try:
-                self._handoff.release()
-            except RuntimeError:  # pragma: no cover - late stuck-thread race
-                pass
-            return None
-        if not self._direct:
-            # Centralized mode (thread-compat host under a coroutine
-            # backend): wake the main loop, which does all bookkeeping.
-            self._handoff.release()
-            return None
-        self._current = None
+    def _handback(self) -> None:
+        """Return the token to the main loop from a thread host (a yield,
+        a block, or the end of its body); the main loop does the step's
+        bookkeeping once ``resume`` returns."""
         try:
-            self._after_resume(g)
-            nxt = self._advance()
-        except BaseException as exc:
-            # Scheduler-context code (stop_when, injector, on_step, a
-            # scripted RNG) raised on this host: relay it to the main loop,
-            # which re-raises it out of run_until_quiescent as before.
-            self._loop_error = exc
-            self._main_verdict = "error"
             self._handoff.release()
-            return None
-        if nxt is None:
-            self._handoff.release()  # verdict already stashed by _advance
-            return None
-        self._current = nxt
-        nxt.state = GState.RUNNING
-        if nxt is g and not terminal:
-            return "self"
-        nxt._my_lock.release()
-        return None
+        except RuntimeError:  # pragma: no cover - late stuck-thread race
+            # Teardown only: a stuck thread that unwinds after its ``kill``
+            # gave up finds the handoff lock already released.
+            if not self._shutting_down:
+                raise
 
     def _after_resume(self, g: Goroutine) -> None:
         if g.state == GState.RUNNING:

@@ -11,9 +11,11 @@ import warnings
 import pytest
 
 from repro import run
+from repro.bench import WORKLOADS
 from repro.parallel import schedule_digest
+from repro.runtime import _hotloop
 from repro.runtime import scheduler as scheduler_mod
-from repro.runtime.goroutine import HAS_GREENLET, has_tasklet
+from repro.runtime.goroutine import has_tasklet
 from repro.runtime.scheduler import BACKENDS, resolve_backend
 
 
@@ -28,14 +30,15 @@ def _program(rt):
     return tuple(ch.recv() for _ in range(3))
 
 
-def test_unknown_backend_rejected():
+@pytest.mark.parametrize("backend", ["fiber", "greenlet"])
+def test_unknown_backend_rejected(backend):
     with pytest.raises(ValueError, match="unknown goroutine backend"):
-        run(_program, backend="fiber")
+        run(_program, backend=backend)
 
 
 def test_coroutine_is_the_default_and_resolves_to_a_continuation_vehicle():
     result = run(_program, seed=3)
-    assert result.backend in ("greenlet", "tasklet", "generator")
+    assert result.backend in ("tasklet", "generator")
     assert result.backend == resolve_backend("coroutine")
     # The compat mode is still reachable and reports itself.
     assert run(_program, seed=3, backend="thread").backend == "thread"
@@ -50,43 +53,28 @@ def test_backend_surfaced_on_result_and_summary():
     assert summarize_result(result).backend == "thread"
 
 
-@pytest.mark.skipif(HAS_GREENLET,
-                    reason="greenlet installed; fallback path unreachable")
-def test_missing_greenlet_falls_back_to_continuations_with_warning(monkeypatch):
-    monkeypatch.setattr(scheduler_mod, "_fallback_warned", set())
-    with pytest.warns(RuntimeWarning, match="falling back to the"):
-        fallback = run(_program, seed=5, backend="greenlet")
-    assert fallback.backend in ("tasklet", "generator")
-    thread = run(_program, seed=5, backend="thread")
-    assert fallback.status == thread.status
-    assert fallback.main_result == thread.main_result
-    assert schedule_digest(fallback) == schedule_digest(thread)
-    # The warning fires once per process, not once per run.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        run(_program, seed=5, backend="greenlet")
-
-
 def test_fallback_warns_once_per_process_across_schedulers(monkeypatch):
-    """Many Scheduler constructions (a sweep) -> at most one warning."""
-    if HAS_GREENLET and has_tasklet():
-        pytest.skip("every vehicle available; no fallback to exercise")
-    requested = "greenlet" if not HAS_GREENLET else "tasklet"
+    """tasklet->generator, the one fallback edge: many Scheduler
+    constructions (a sweep) -> one warning, and the schedule is unchanged.
+    The extension is masked so the edge runs on every leg, not only where
+    the extension is missing."""
+    monkeypatch.setattr(scheduler_mod, "has_tasklet", lambda: False)
     monkeypatch.setattr(scheduler_mod, "_fallback_warned", set())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
-        for seed in range(4):
-            run(_program, seed=seed, backend=requested)
+        results = [run(_program, seed=seed, backend="tasklet")
+                   for seed in range(4)]
     fallback_warnings = [w for w in caught
                          if "falling back to the" in str(w.message)]
     assert len(fallback_warnings) == 1
+    assert all(r.backend == "generator" for r in results)
+    thread = run(_program, seed=3, backend="thread")
+    assert schedule_digest(results[3]) == schedule_digest(thread)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_backends_produce_identical_schedules(seed):
     available = ["thread", "coroutine", "generator"]
-    if HAS_GREENLET:
-        available.append("greenlet")
     if has_tasklet():
         available.append("tasklet")
     results = {b: run(_program, seed=seed, backend=b) for b in available}
@@ -99,10 +87,25 @@ def test_backends_produce_identical_schedules(seed):
 
 
 def test_backends_tuple_names_every_vehicle():
-    assert BACKENDS == ("coroutine", "thread", "greenlet", "tasklet",
-                        "generator")
+    assert BACKENDS == ("coroutine", "thread", "tasklet", "generator")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for name in BACKENDS:
-            assert resolve_backend(name) in ("thread", "greenlet", "tasklet",
-                                             "generator")
+            assert resolve_backend(name) in ("thread", "tasklet", "generator")
+
+
+@pytest.mark.skipif(not _hotloop.HAS_COMPILED,
+                    reason="compiled extension unavailable")
+@pytest.mark.parametrize("workload", ["pingpong", "spawn"])
+def test_thread_backend_steps_through_the_compiled_loop(workload):
+    """Thread hosts bounce every step through the scheduler's one loop, so
+    an untraced thread run enters the compiled drive() like any other."""
+    program = WORKLOADS[workload]
+    _hotloop.drive_stats(reset=True)
+    thread = run(program, seed=1, keep_trace=False, backend="thread")
+    assert _hotloop.drive_stats()["calls"] > 0
+    coro = run(program, seed=1, keep_trace=False)
+    assert (thread.status, thread.steps) == (coro.status, coro.steps)
+    traced_thread = run(program, seed=1, keep_trace=True, backend="thread")
+    traced_coro = run(program, seed=1, keep_trace=True)
+    assert schedule_digest(traced_thread) == schedule_digest(traced_coro)
