@@ -55,7 +55,8 @@ from .runtime.runtime import run
 #: the whole bench process); ``single`` cells gain ``fastops_per_run`` and
 #: ``compiled`` now reports what the run actually had loaded.  Additive
 #: since: ``fallbacks`` carries ``drive`` (the compiled step loop's calls,
-#: exits by verdict and timers fired inside it, from ``drive_stats``).
+#: exits by verdict, timers fired inside it and trace events recorded from
+#: C, from ``drive_stats``), and ``fastops`` a ``sleep`` kind.
 SCHEMA = 4
 
 
@@ -298,8 +299,9 @@ def bench_single(
     actually picked on this host), ``compiled`` — whether the run had the
     compiled accelerators loaded — and ``fastops_per_run``, how many
     channel/select/sync operations per run the compiled fast paths
-    actually executed (0 on traced cells: a live trace consumer makes
-    every fast op bail to the observable pure primitive).
+    actually executed (on traced cells only ``sleep`` can engage: an
+    active trace makes the channel/select/sync ops bail to the observable
+    pure primitive).
 
     ``pure=True`` times the same cell under
     :class:`repro.runtime._hotloop.force_pure` — every compiled path off,
@@ -1150,14 +1152,16 @@ def render(document: Dict[str, Any]) -> str:
         edges = fb.get("backend_fallbacks") or {}
         bailed = {op: n for op, n in fb["fastops"].get("bailed", {}).items()
                   if n}
-        engaged = sum(fb["fastops"].get("engaged", {}).values())
+        engaged_by_op = fb["fastops"].get("engaged", {})
+        engaged = sum(engaged_by_op.values())
         lines.append("")
         edge_text = (" ".join(f"{edge}:{n}" for edge, n
                               in sorted(edges.items())) or "none")
         bail_text = (" ".join(f"{op}:{n}" for op, n
                               in sorted(bailed.items())) or "none")
         lines.append(f"fallbacks: backend {edge_text}; fast ops engaged "
-                     f"{engaged:,}, bailed {bail_text}")
+                     f"{engaged:,} (sleep {engaged_by_op.get('sleep', 0):,}),"
+                     f" bailed {bail_text}")
         drive = fb.get("drive")
         if drive:
             exits = " ".join(f"{verdict}:{n}" for verdict, n
@@ -1167,7 +1171,8 @@ def render(document: Dict[str, Any]) -> str:
                          f"{exits or 'none'}; timers fired in loop "
                          f"ready:{fired['ready']:,} "
                          f"callback:{fired['callback']:,}, callbacks "
-                         f"raised {drive['callbacks_raised']}")
+                         f"raised {drive['callbacks_raised']}; trace events "
+                         f"recorded {drive['recorded']:,}")
     if "recovery" in document:
         recovery = document["recovery"]
         lines.append("")

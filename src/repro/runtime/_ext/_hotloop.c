@@ -21,9 +21,15 @@
  *     keeps stepping, so a timer-driven run enters the loop a handful of
  *     times instead of once per timer.  A "ready goroutine" timer (callback
  *     None) costs no Python call at all.  Only runs when nothing observable
- *     differs from the pure loop: no trace consumer, no injector, no observe
+ *     differs from the pure loop: no trace listener, no injector, no observe
  *     hooks, structured stop conditions, and the scheduler's RNG is the C
  *     type above.  Anything else returns None and the pure loop takes over.
+ *     A kept trace is recorded in C: the events the pure loop emits itself
+ *     (go.end / go.panic, timer.fire + go.unblock for fired ready timers)
+ *     are appended to ``trace._events`` as TraceEvents built through slot
+ *     offsets, and ``sched._steps`` is written back before every switch so
+ *     the emits of Python code running inside a goroutine stamp the right
+ *     step.
  *
  * Goroutine fields are reached through slot offsets cached from the class
  * ``__slots__`` member descriptors at bind() time — an attribute read is a
@@ -368,6 +374,21 @@ static Py_ssize_t off_th_callback = -1;     /* TimerHandle.callback */
 static Py_ssize_t off_th_args = -1;         /* TimerHandle.args */
 static Py_ssize_t off_th_cancelled = -1;    /* TimerHandle.cancelled */
 static PyObject *heappop_fn = NULL;         /* heapq.heappop */
+static PyObject *heappush_fn = NULL;        /* heapq.heappush */
+static Py_ssize_t off_th_deadline = -1;     /* TimerHandle.deadline */
+static Py_ssize_t off_th_seq = -1;          /* TimerHandle.seq */
+static Py_ssize_t off_g_gid = -1;           /* Goroutine.gid */
+
+/* The trace recorder: trace.Trace / TraceEvent slot offsets, the EventKind
+ * names the compiled code records, and the shared empty-info mapping. */
+static PyTypeObject *tr_type = NULL, *ev_type = NULL;
+static Py_ssize_t off_tr_events = -1, off_tr_listeners = -1,
+                  off_tr_keep = -1;
+static Py_ssize_t off_ev_step = -1, off_ev_time = -1, off_ev_gid = -1,
+                  off_ev_kind = -1, off_ev_obj = -1, off_ev_info = -1;
+static PyObject *k_go_end = NULL, *k_go_panic = NULL, *k_timer_fire = NULL,
+                *k_go_unblock = NULL, *k_go_block = NULL, *k_sleep = NULL,
+                *no_info = NULL;
 
 static PyObject *st_running = NULL, *st_runnable = NULL, *st_done = NULL,
                 *st_panicked = NULL, *st_killed = NULL, *terminal_set = NULL;
@@ -382,12 +403,19 @@ static PyObject *s_runnable_attr = NULL, *s_rng = NULL, *s_stop_mode = NULL,
 static PyObject *v_stopped = NULL, *v_timeout = NULL, *v_steps = NULL,
                 *v_idle = NULL;
 
+/* Shared with the fast ops below. */
+static PyObject *s_trace = NULL, *s_injector = NULL, *s_preempt = NULL,
+                *s_capture_sites = NULL, *s_on_step = NULL, *s_seq = NULL,
+                *s_duration = NULL, *s_reason = NULL, *r_time_sleep = NULL,
+                *long_zero = NULL;
+
 /* drive_stats() counters: calls, exits by verdict, timers fired in the
- * loop by kind, and timer callbacks that raised. */
+ * loop by kind, timer callbacks that raised, and trace events recorded
+ * from C (by drive and the compiled sleep). */
 enum { DX_STOPPED, DX_TIMEOUT, DX_STEPS, DX_IDLE, DX_INELIGIBLE, DX_ERROR,
        DX_N };
 static long long dr_calls, dr_exits[DX_N], dr_fired_ready, dr_fired_callback,
-                 dr_callback_raised;
+                 dr_callback_raised, dr_recorded;
 
 static int
 member_offset(PyObject *cls, const char *name, Py_ssize_t *out)
@@ -406,16 +434,86 @@ member_offset(PyObject *cls, const char *name, Py_ssize_t *out)
     return 0;
 }
 
+/* Cache ``trace_mod``'s Trace / TraceEvent layout and the event kinds the
+ * recorder emits. */
+static int
+bind_trace(PyObject *trace_mod)
+{
+    PyObject *tr = PyObject_GetAttrString(trace_mod, "Trace");
+    PyObject *ev = PyObject_GetAttrString(trace_mod, "TraceEvent");
+    PyObject *kinds = PyObject_GetAttrString(trace_mod, "EventKind");
+    PyObject *empty = PyObject_GetAttrString(trace_mod, "_NO_INFO");
+    int rc = -1;
+    if (tr == NULL || ev == NULL || kinds == NULL || empty == NULL)
+        goto done;
+    if (!PyType_Check(tr) || !PyType_Check(ev) || !PyDict_CheckExact(empty)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "trace module needs Trace, TraceEvent and _NO_INFO");
+        goto done;
+    }
+    if (member_offset(tr, "_events", &off_tr_events) < 0 ||
+        member_offset(tr, "_listeners", &off_tr_listeners) < 0 ||
+        member_offset(tr, "_keep_events", &off_tr_keep) < 0 ||
+        member_offset(ev, "step", &off_ev_step) < 0 ||
+        member_offset(ev, "time", &off_ev_time) < 0 ||
+        member_offset(ev, "gid", &off_ev_gid) < 0 ||
+        member_offset(ev, "kind", &off_ev_kind) < 0 ||
+        member_offset(ev, "obj", &off_ev_obj) < 0 ||
+        member_offset(ev, "info", &off_ev_info) < 0)
+        goto done;
+#define KIND(dst, name)                                             \
+    do {                                                            \
+        PyObject *v = PyObject_GetAttrString(kinds, name);          \
+        if (v == NULL)                                              \
+            goto done;                                              \
+        Py_XSETREF(dst, v);                                         \
+    } while (0)
+    KIND(k_go_end, "GO_END");
+    KIND(k_go_panic, "GO_PANIC");
+    KIND(k_timer_fire, "TIMER_FIRE");
+    KIND(k_go_unblock, "GO_UNBLOCK");
+    KIND(k_go_block, "GO_BLOCK");
+    KIND(k_sleep, "SLEEP");
+#undef KIND
+    Py_INCREF(tr);
+    Py_XSETREF(tr_type, (PyTypeObject *)tr);
+    Py_INCREF(ev);
+    Py_XSETREF(ev_type, (PyTypeObject *)ev);
+    Py_INCREF(empty);
+    Py_XSETREF(no_info, empty);
+    rc = 0;
+done:
+    Py_XDECREF(tr);
+    Py_XDECREF(ev);
+    Py_XDECREF(kinds);
+    Py_XDECREF(empty);
+    return rc;
+}
+
+static PyObject *
+heapq_fn(const char *name)
+{
+    PyObject *heapq = PyImport_ImportModule("heapq");
+    if (heapq == NULL)
+        return NULL;
+    PyObject *fn = PyObject_GetAttrString(heapq, name);
+    Py_DECREF(heapq);
+    return fn;
+}
+
 static PyObject *
 hl_bind(PyObject *module, PyObject *args)
 {
-    PyObject *goro_cls, *tk_goro_cls, *gstate_cls, *tasklet_cls, *th_cls;
-    if (!PyArg_ParseTuple(args, "OOOOO", &goro_cls, &tk_goro_cls,
-                          &gstate_cls, &tasklet_cls, &th_cls))
+    PyObject *goro_cls, *tk_goro_cls, *gstate_cls, *tasklet_cls, *th_cls,
+             *trace_mod;
+    if (!PyArg_ParseTuple(args, "OOOOOO", &goro_cls, &tk_goro_cls,
+                          &gstate_cls, &tasklet_cls, &th_cls, &trace_mod))
         return NULL;
     if (member_offset(goro_cls, "state", &off_state) < 0)
         return NULL;
     if (member_offset(goro_cls, "ended_at", &off_ended_at) < 0)
+        return NULL;
+    if (member_offset(goro_cls, "gid", &off_g_gid) < 0)
         return NULL;
     if (member_offset(tk_goro_cls, "_tk", &off_tk) < 0)
         return NULL;
@@ -427,20 +525,28 @@ hl_bind(PyObject *module, PyObject *args)
     Py_XSETREF(tk_go_type, (PyTypeObject *)tk_goro_cls);
     if (member_offset(th_cls, "callback", &off_th_callback) < 0 ||
         member_offset(th_cls, "args", &off_th_args) < 0 ||
-        member_offset(th_cls, "cancelled", &off_th_cancelled) < 0)
+        member_offset(th_cls, "cancelled", &off_th_cancelled) < 0 ||
+        member_offset(th_cls, "deadline", &off_th_deadline) < 0 ||
+        member_offset(th_cls, "seq", &off_th_seq) < 0)
         return NULL;
+    if (!PyType_Check(th_cls)) {
+        PyErr_SetString(PyExc_TypeError, "expected TimerHandle class");
+        return NULL;
+    }
     Py_INCREF(th_cls);
     Py_XSETREF(th_type, (PyTypeObject *)th_cls);
     {
-        PyObject *heapq = PyImport_ImportModule("heapq");
-        if (heapq == NULL)
-            return NULL;
-        PyObject *pop = PyObject_GetAttrString(heapq, "heappop");
-        Py_DECREF(heapq);
+        PyObject *pop = heapq_fn("heappop");
         if (pop == NULL)
             return NULL;
         Py_XSETREF(heappop_fn, pop);
+        PyObject *push = heapq_fn("heappush");
+        if (push == NULL)
+            return NULL;
+        Py_XSETREF(heappush_fn, push);
     }
+    if (bind_trace(trace_mod) < 0)
+        return NULL;
 
 #define FETCH(dst, name)                                            \
     do {                                                            \
@@ -531,6 +637,80 @@ runnable_remove(PyObject *runnable, PyObject *g)
     }
 }
 
+/* ``g.gid`` (borrowed), or NULL with AttributeError. */
+static inline PyObject *
+goro_gid(PyObject *g)
+{
+    PyObject *gid = slot_get(g, off_g_gid);
+    if (gid == NULL)
+        PyErr_SetString(PyExc_AttributeError, "goroutine gid unset");
+    return gid;
+}
+
+/* The kept-trace recorder: what ``Scheduler.emit`` does when the trace has
+ * no listener — one TraceEvent appended to ``trace._events``, its fields
+ * stored through slot offsets (no __init__ call).  ``info`` NULL means the
+ * shared empty mapping, as ``TraceEvent`` itself substitutes. */
+static int
+rec_event(PyObject *events, PyObject *step, PyObject *time, PyObject *gid,
+          PyObject *kind, PyObject *obj, PyObject *info)
+{
+    PyObject *ev = ev_type->tp_alloc(ev_type, 0);
+    if (ev == NULL)
+        return -1;
+    slot_set(ev, off_ev_step, step);
+    slot_set(ev, off_ev_time, time);
+    slot_set(ev, off_ev_gid, gid);
+    slot_set(ev, off_ev_kind, kind);
+    slot_set(ev, off_ev_obj, obj);
+    slot_set(ev, off_ev_info, info != NULL ? info : no_info);
+    int rc = PyList_Append(events, ev);
+    Py_DECREF(ev);
+    if (rc == 0)
+        dr_recorded++;
+    return rc;
+}
+
+/* Probe ``sched.trace`` for the compiled paths: 1 when it is a plain Trace
+ * with no listener, *events_out then holding a new reference to the kept
+ * event list (NULL when the trace keeps nothing); 0 otherwise — a listener
+ * sees every event as it happens, so the pure path must run — with any
+ * probing error cleared. */
+static int
+trace_probe(PyObject *sched, PyObject **events_out)
+{
+    *events_out = NULL;
+    PyObject *trace = PyObject_GetAttr(sched, s_trace);
+    if (trace == NULL) {
+        PyErr_Clear();
+        return 0;
+    }
+    int ok = 0;
+    if (Py_TYPE(trace) == tr_type) {
+        PyObject *listeners = slot_get(trace, off_tr_listeners);
+        PyObject *keep = slot_get(trace, off_tr_keep);
+        PyObject *events = slot_get(trace, off_tr_events);
+        if (listeners != NULL && PyList_CheckExact(listeners) &&
+            PyList_GET_SIZE(listeners) == 0 && keep != NULL) {
+            int k = keep == Py_True ? 1 : keep == Py_False ? 0
+                                        : PyObject_IsTrue(keep);
+            if (k == 0) {
+                ok = 1;
+            }
+            else if (k > 0 && events != NULL && PyList_CheckExact(events)) {
+                Py_INCREF(events);
+                *events_out = events;
+                ok = 1;
+            }
+            else {
+                PyErr_Clear();
+            }
+        }
+    }
+    Py_DECREF(trace);
+    return ok;
+}
+
 /* Forward declarations from the fast-op section below: a fired "ready
  * goroutine" timer goes through the same requeue as a channel wakeup. */
 static int fo_bound;
@@ -601,10 +781,13 @@ batch_clear(PyObject *batch)
  * Returns 1 when timers fired, 0 when none is pending, -1 on error — an
  * exception raised by a callback propagates, and the rest of its batch is
  * dropped, as when ``fire_timers`` raises.  ``*batch_io`` is a scratch
- * list reused across calls; ``*now_io`` tracks the clock. */
+ * list reused across calls; ``*now_io`` tracks the clock.  With a kept
+ * trace (``events`` not NULL) each timer records timer.fire, and a ready
+ * timer that wakes its goroutine records go.unblock, stamped ``step``. */
 static int
 drive_fire_timers(PyObject *sched, PyObject *clock, PyObject *heap,
-                  PyObject **batch_io, PyObject **now_io)
+                  PyObject **batch_io, PyObject **now_io, PyObject *events,
+                  PyObject *step)
 {
     PyObject *entry, *h;
     for (;;) {
@@ -678,6 +861,10 @@ drive_fire_timers(PyObject *sched, PyObject *clock, PyObject *heap,
                             "TimerHandle needs a callback and an args tuple");
             goto fail;
         }
+        if (events != NULL &&
+            rec_event(events, step, *now_io, long_zero, k_timer_fire,
+                      Py_None, NULL) < 0)
+            goto fail;
         if (cb == Py_None) {
             /* "Ready goroutine" timer: Scheduler.ready(args[0]). */
             if (PyTuple_GET_SIZE(args) != 1) {
@@ -687,8 +874,16 @@ drive_fire_timers(PyObject *sched, PyObject *clock, PyObject *heap,
             }
             PyObject *g = PyTuple_GET_ITEM(args, 0);
             if (fo_bound) {
-                if (fo_ready(sched, g) < 0)
+                int readied = fo_ready(sched, g);
+                if (readied < 0)
                     goto fail;
+                if (readied && events != NULL) {
+                    PyObject *gid = goro_gid(g);
+                    if (gid == NULL ||
+                        rec_event(events, step, *now_io, long_zero,
+                                  k_go_unblock, gid, NULL) < 0)
+                        goto fail;
+                }
             }
             else {
                 PyObject *r = PyObject_CallMethodOneArg(sched, s_ready, g);
@@ -712,6 +907,11 @@ drive_fire_timers(PyObject *sched, PyObject *clock, PyObject *heap,
             }
             Py_DECREF(r);
             dr_fired_callback++;
+            /* Python ran: the next timer.fire stamps the clock it left. */
+            PyObject *now = PyObject_GetAttr(clock, s_now);
+            if (now == NULL)
+                goto fail;
+            Py_SETREF(*now_io, now);
         }
     }
     batch_clear(batch);
@@ -720,6 +920,19 @@ drive_fire_timers(PyObject *sched, PyObject *clock, PyObject *heap,
 fail:
     batch_clear(batch);
     return -1;
+}
+
+/* The event ``Scheduler._after_resume`` emits for a goroutine that ended
+ * in state ``st``: go.panic or go.end, attributed to the goroutine. */
+static int
+drive_record_end(PyObject *events, PyObject *step, PyObject *now,
+                 PyObject *g, PyObject *st)
+{
+    PyObject *gid = goro_gid(g);
+    if (gid == NULL)
+        return -1;
+    return rec_event(events, step, now, gid,
+                     st == st_panicked ? k_go_panic : k_go_end, Py_None, NULL);
 }
 
 static PyObject *
@@ -742,6 +955,9 @@ hl_drive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     PyObject *runnable = NULL, *rng_obj = NULL, *stop_mode = NULL,
              *panicked = NULL, *clock = NULL, *now_obj = NULL,
              *time_limit = NULL, *heap = NULL, *batch = NULL;
+    /* The kept trace's event list (NULL: nothing is recorded) and the
+     * current step as an int object, stamped on recorded events. */
+    PyObject *events = NULL, *step_obj = NULL;
     PyObject *stop_g = NULL;          /* borrowed from stop_mode */
     BatchedRandomObject *rng = NULL;
     PyObject *verdict = NULL;         /* borrowed from the v_* constants */
@@ -773,6 +989,8 @@ hl_drive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         if (stop_main && stop_g == Py_None)
             goto ineligible;
     }
+    if (!trace_probe(sched, &events))
+        goto ineligible;
 
     {
         int err = 0;
@@ -780,6 +998,11 @@ hl_drive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         budget_used = attr_as_longlong(sched, s_budget_used, &err);
         steps = attr_as_longlong(sched, s_steps, &err);
         if (err)
+            goto fail_entry;
+    }
+    if (events != NULL) {
+        step_obj = PyLong_FromLongLong(steps);
+        if (step_obj == NULL)
             goto fail_entry;
     }
     panicked = PyObject_GetAttr(sched, s_panicked_attr);
@@ -840,7 +1063,7 @@ hl_drive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             if (nrun == 0) {
                 if (!advance_clock) { verdict = v_idle; break; }
                 int fired = drive_fire_timers(sched, clock, heap, &batch,
-                                              &now_obj);
+                                              &now_obj, events, step_obj);
                 if (fired < 0) { failed = 1; break; }
                 if (fired == 0) { verdict = v_idle; break; }
                 /* Callbacks run Python: re-read what they may change. */
@@ -855,6 +1078,16 @@ hl_drive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             }
             budget_used++;
             steps++;
+            if (events != NULL) {
+                /* Emits inside the goroutine read sched._steps. */
+                PyObject *so = PyLong_FromLongLong(steps);
+                if (so == NULL) { failed = 1; break; }
+                Py_SETREF(step_obj, so);
+                if (PyObject_SetAttr(sched, s_steps, step_obj) < 0) {
+                    failed = 1;
+                    break;
+                }
+            }
             uint32_t idx = mt_randrange32(rng, (uint32_t)nrun);
             PyObject *g = PyList_GET_ITEM(runnable, idx);
             Py_INCREF(g);
@@ -899,6 +1132,13 @@ hl_drive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                         }
                         Py_INCREF(g);
                         Py_SETREF(panicked, g);
+                    }
+                    if (events != NULL &&
+                        drive_record_end(events, step_obj, now_obj, g,
+                                         st) < 0) {
+                        Py_DECREF(g);
+                        failed = 1;
+                        break;
                     }
                 }
                 /* BLOCKED: block() already dequeued it before yielding. */
@@ -953,6 +1193,14 @@ hl_drive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                         Py_INCREF(g);
                         Py_SETREF(panicked, g);
                     }
+                    if (events != NULL &&
+                        drive_record_end(events, step_obj, now_obj, g,
+                                         st) < 0) {
+                        Py_DECREF(st);
+                        Py_DECREF(g);
+                        failed = 1;
+                        break;
+                    }
                 }
                 Py_DECREF(st);
             }
@@ -985,6 +1233,8 @@ hl_drive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             failed = 1;
     }
 
+    Py_XDECREF(step_obj);
+    Py_XDECREF(events);
     Py_XDECREF(batch);
     Py_XDECREF(heap);
     Py_XDECREF(time_limit);
@@ -1017,6 +1267,8 @@ ineligible:
 
 fail_entry:
     dr_exits[DX_ERROR]++;
+    Py_XDECREF(step_obj);
+    Py_XDECREF(events);
     Py_XDECREF(heap);
     Py_XDECREF(time_limit);
     Py_XDECREF(now_obj);
@@ -1029,17 +1281,18 @@ fail_entry:
 }
 
 /* ------------------------------------------------------------------ */
-/* Channel / select / sync fast ops                                    */
+/* Channel / select / sync / sleep fast ops                            */
 /*                                                                     */
 /* Compiled bodies for the blocking primitives themselves: channel     */
 /* send/recv (buffered and rendezvous), try_send/try_recv, select      */
-/* readiness + commit, Mutex and RWMutex.  Unlike drive(), these work  */
-/* on every backend: each op re-checks engagement at entry — trace     */
-/* inactive, no injector, a current goroutine — and returns            */
-/* NotImplemented to defer to the pure path otherwise.  All bail-outs  */
-/* happen BEFORE the op's entry schedule point so an op is either      */
-/* entirely compiled or entirely pure; the observable schedule is      */
-/* identical either way (asserted by the parity tests).                */
+/* readiness + commit, Mutex, RWMutex and time.Sleep.  Each op         */
+/* re-checks engagement at entry — no injector, a current goroutine,   */
+/* and no trace listener; a kept trace is recorded in C by sleep,      */
+/* while the channel/select/sync ops still need the trace inactive —   */
+/* and returns NotImplemented to defer to the pure path otherwise.     */
+/* All bail-outs happen BEFORE the op's entry schedule point so an op  */
+/* is either entirely compiled or entirely pure; the observable        */
+/* schedule is identical either way (asserted by the parity tests).    */
 /* ------------------------------------------------------------------ */
 
 static int fo_bound = 0;
@@ -1076,19 +1329,17 @@ static Py_ssize_t off_rw_sched = -1, off_rw_wprio = -1, off_rw_readers = -1,
                   off_rw_reason_r = -1, off_rw_reason_w = -1;
 static Py_ssize_t off_rwtix_goroutine = -1, off_rwtix_granted = -1;
 /* Goroutine slots beyond bind()'s state/ended_at */
-static Py_ssize_t off_g_gid = -1, off_g_blockreason = -1, off_g_external = -1,
+static Py_ssize_t off_g_blockreason = -1, off_g_external = -1,
                   off_g_pending = -1, off_g_killed = -1;
 static Py_ssize_t off_tkg_hub = -1;
 static Py_ssize_t off_trace_active = -1;
 
-static PyObject *s_trace = NULL, *s_injector = NULL, *s_preempt = NULL,
-                *s_yield = NULL, *r_select = NULL;
+static PyObject *s_yield = NULL, *r_select = NULL;
 static PyObject *msg_send_closed = NULL, *msg_mu_unlock = NULL,
                 *msg_rw_runlock = NULL, *msg_rw_unlock = NULL;
-static PyObject *long_zero = NULL;
 
 enum { OP_SEND, OP_RECV, OP_TRYSEND, OP_TRYRECV, OP_SELECT, OP_MUTEX,
-       OP_RWMUTEX, OP_N };
+       OP_RWMUTEX, OP_SLEEP, OP_N };
 static long long fo_hits[OP_N], fo_bails[OP_N];
 
 #define FO_BAIL(op)                                                 \
@@ -1244,7 +1495,8 @@ fo_block(PyObject *sched, PyObject *g, PyObject *reason)
     return 0;
 }
 
-/* Scheduler.ready(g): BLOCKED -> RUNNABLE + requeue (emit skipped). */
+/* Scheduler.ready(g): BLOCKED -> RUNNABLE + requeue (emit skipped).
+ * 1 when g was readied, 0 when it was not blocked, -1 on error. */
 static int
 fo_ready(PyObject *sched, PyObject *g)
 {
@@ -1273,7 +1525,7 @@ fo_ready(PyObject *sched, PyObject *g)
     }
     int rc = PyList_Append(runnable, g);
     Py_DECREF(runnable);
-    return rc;
+    return rc < 0 ? -1 : 1;
 }
 
 /* Channel._pop_claimable, with the peek-then-pop collapsed into a single
@@ -2502,6 +2754,206 @@ out:
     return result;
 }
 
+/* ---- time.Sleep ---- */
+
+/* 1 when ``obj.<name> is expect``, else 0 (probing errors cleared). */
+static int
+attr_is(PyObject *obj, PyObject *name, PyObject *expect)
+{
+    PyObject *v = PyObject_GetAttr(obj, name);
+    if (v == NULL) {
+        PyErr_Clear();
+        return 0;
+    }
+    int is = (v == expect);
+    Py_DECREF(v);
+    return is;
+}
+
+/* Scheduler.emit(kind, info=info) from the running goroutine ``me``, for a
+ * kept trace with no listener. */
+static int
+sleep_record(PyObject *sched, PyObject *events, PyObject *now, PyObject *me,
+             PyObject *kind, PyObject *key, PyObject *value)
+{
+    PyObject *gid = goro_gid(me);
+    if (gid == NULL)
+        return -1;
+    PyObject *step = PyObject_GetAttr(sched, s_steps);
+    if (step == NULL)
+        return -1;
+    PyObject *info = PyDict_New();
+    int rc = -1;
+    if (info != NULL && PyDict_SetItem(info, key, value) == 0)
+        rc = rec_event(events, step, now, gid, kind, Py_None, info);
+    Py_XDECREF(info);
+    Py_DECREF(step);
+    return rc;
+}
+
+/* VirtualClock.ready_after(duration, g) for duration > 0: a ready timer at
+ * ``max(now + duration, now)`` with the clock's next seq, pushed as
+ * ``(deadline, seq, handle)`` onto its heap.  Returns the handle (new
+ * reference), or NULL on error. */
+static PyObject *
+sleep_arm(PyObject *clock, PyObject *now, PyObject *duration, PyObject *g)
+{
+    PyObject *deadline = NULL, *seq = NULL, *targs = NULL, *handle = NULL,
+             *entry = NULL, *heap = NULL, *result = NULL;
+    deadline = PyNumber_Add(now, duration);
+    if (deadline == NULL)
+        goto done;
+    int past = clock_compare(now, deadline, Py_GT);
+    if (past < 0)
+        goto done;
+    if (past) {
+        Py_INCREF(now);
+        Py_SETREF(deadline, now);
+    }
+    {
+        PyObject *counter = PyObject_GetAttr(clock, s_seq);
+        if (counter == NULL)
+            goto done;
+        seq = PyIter_Next(counter);
+        Py_DECREF(counter);
+        if (seq == NULL) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_RuntimeError,
+                                "clock sequence exhausted");
+            goto done;
+        }
+    }
+    targs = PyTuple_Pack(1, g);
+    if (targs == NULL)
+        goto done;
+    handle = th_type->tp_alloc(th_type, 0);
+    if (handle == NULL)
+        goto done;
+    slot_set(handle, off_th_deadline, deadline);
+    slot_set(handle, off_th_seq, seq);
+    slot_set(handle, off_th_callback, Py_None);
+    slot_set(handle, off_th_args, targs);
+    slot_set(handle, off_th_cancelled, Py_False);
+    entry = PyTuple_Pack(3, deadline, seq, handle);
+    if (entry == NULL)
+        goto done;
+    heap = PyObject_GetAttr(clock, s_heap);
+    if (heap == NULL)
+        goto done;
+    {
+        PyObject *pargs[2] = {heap, entry};
+        PyObject *r = PyObject_Vectorcall(heappush_fn, pargs, 2, NULL);
+        if (r == NULL)
+            goto done;
+        Py_DECREF(r);
+    }
+    Py_INCREF(handle);
+    result = handle;
+done:
+    Py_XDECREF(heap);
+    Py_XDECREF(entry);
+    Py_XDECREF(handle);
+    Py_XDECREF(targs);
+    Py_XDECREF(seq);
+    Py_XDECREF(deadline);
+    return result;
+}
+
+/* Runtime.sleep(duration): record time.sleep, then either a schedule point
+ * (duration <= 0) or arm a ready timer and block with reason "time.sleep"
+ * until it has fired, re-blocking after a spurious wakeup.  Unlike the ops
+ * above this one runs under a kept trace: it records its own time.sleep
+ * and go.block events.  It bails before anything observable when an
+ * injector, a trace listener, an observe hook (capture_sites, on_step) or
+ * a missing goroutine context needs the pure path, or the duration is not
+ * an exact int or float. */
+static PyObject *
+fo_sleep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (!fo_bound || nargs != 2)
+        FO_BAIL(OP_SLEEP);
+    PyObject *sched = args[0], *duration = args[1];
+    if (!PyFloat_CheckExact(duration) && !PyLong_CheckExact(duration))
+        FO_BAIL(OP_SLEEP);
+    if (!attr_is(sched, s_injector, Py_None))
+        FO_BAIL(OP_SLEEP);
+    PyObject *events = NULL;
+    if (!trace_probe(sched, &events))
+        FO_BAIL(OP_SLEEP);
+    if (!attr_is(sched, s_capture_sites, Py_False) ||
+        !attr_is(sched, s_on_step, Py_None)) {
+        Py_XDECREF(events);
+        FO_BAIL(OP_SLEEP);
+    }
+    PyObject *me = PyObject_GetAttr(sched, s_current);
+    if (me == NULL)
+        PyErr_Clear();
+    if (me == NULL || !PyObject_TypeCheck(me, fo_goro)) {
+        Py_XDECREF(me);
+        Py_XDECREF(events);
+        FO_BAIL(OP_SLEEP);
+    }
+    fo_hits[OP_SLEEP]++;
+
+    PyObject *clock = NULL, *now = NULL, *handle = NULL, *result = NULL;
+    clock = PyObject_GetAttr(sched, s_clock);
+    if (clock == NULL)
+        goto out;
+    now = PyObject_GetAttr(clock, s_now_attr);
+    if (now == NULL)
+        goto out;
+    if (events != NULL &&
+        sleep_record(sched, events, now, me, k_sleep, s_duration,
+                     duration) < 0)
+        goto out;
+    int nonpositive = PyObject_RichCompareBool(duration, long_zero, Py_LE);
+    if (nonpositive < 0)
+        goto out;
+    if (nonpositive) {
+        /* Scheduler.schedule_point() */
+        PyObject *preempt = PyObject_GetAttr(sched, s_preempt);
+        if (preempt == NULL)
+            goto out;
+        int do_yield = PyObject_IsTrue(preempt);
+        Py_DECREF(preempt);
+        if (do_yield < 0 || (do_yield && fo_yield(me) < 0))
+            goto out;
+        Py_INCREF(Py_None);
+        result = Py_None;
+        goto out;
+    }
+    handle = sleep_arm(clock, now, duration, me);
+    if (handle == NULL)
+        goto out;
+    for (;;) {
+        int fired = handle_cancelled(handle);
+        if (fired < 0)
+            goto out;
+        if (fired)
+            break;
+        if (events != NULL) {
+            PyObject *t = PyObject_GetAttr(clock, s_now_attr);
+            if (t == NULL)
+                goto out;
+            Py_SETREF(now, t);
+            if (sleep_record(sched, events, now, me, k_go_block, s_reason,
+                             r_time_sleep) < 0)
+                goto out;
+        }
+        if (fo_block(sched, me, r_time_sleep) < 0)
+            goto out;
+    }
+    Py_INCREF(Py_None);
+    result = Py_None;
+out:
+    Py_XDECREF(handle);
+    Py_XDECREF(now);
+    Py_XDECREF(clock);
+    Py_DECREF(me);
+    Py_XDECREF(events);
+    return result;
+}
+
 /* ---- vector-clock kernels ---- */
 
 static PyObject *
@@ -2590,16 +3042,17 @@ hl_drive_stats(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         }
         Py_DECREF(v);
     }
-    result = Py_BuildValue("{sLsOs{sLsL}sL}",
+    result = Py_BuildValue("{sLsOs{sLsL}sLsL}",
                            "calls", dr_calls,
                            "exits", exits,
                            "timers_fired",
                            "ready", dr_fired_ready,
                            "callback", dr_fired_callback,
-                           "callbacks_raised", dr_callback_raised);
+                           "callbacks_raised", dr_callback_raised,
+                           "recorded", dr_recorded);
     if (result != NULL && reset) {
         dr_calls = dr_fired_ready = dr_fired_callback = 0;
-        dr_callback_raised = 0;
+        dr_callback_raised = dr_recorded = 0;
         memset(dr_exits, 0, sizeof(dr_exits));
     }
 done:
@@ -2612,6 +3065,7 @@ hl_fastops_stats(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     static const char *names[OP_N] = {
         "send", "recv", "try_send", "try_recv", "select", "mutex", "rwmutex",
+        "sleep",
     };
     int reset = 0;
     if (nargs > 1) {
@@ -2718,7 +3172,6 @@ hl_bind_fastops(PyObject *module, PyObject *args)
     OFFSET(rw_ticket_cls, "goroutine", off_rwtix_goroutine);
     OFFSET(rw_ticket_cls, "granted", off_rwtix_granted);
     OFFSET(trace_cls, "active", off_trace_active);
-    OFFSET(goro_cls, "gid", off_g_gid);
     OFFSET(goro_cls, "block_reason", off_g_blockreason);
     OFFSET(goro_cls, "external", off_g_external);
     OFFSET(goro_cls, "pending_error", off_g_pending);
@@ -2781,14 +3234,16 @@ hl_bind_fastops(PyObject *module, PyObject *args)
 
 static PyMethodDef hl_methods[] = {
     {"bind", hl_bind, METH_VARARGS,
-     "bind(Goroutine, TaskletGoroutine, GState, TaskletOrNone, TimerHandle): "
-     "cache slot offsets, state constants and the continuation switch."},
+     "bind(Goroutine, TaskletGoroutine, GState, TaskletOrNone, TimerHandle, "
+     "trace_module): cache slot offsets, state constants, the continuation "
+     "switch and the trace recorder's classes."},
     {"drive", (PyCFunction)hl_drive, METH_FASTCALL,
      "drive(scheduler, advance_clock) -> verdict str, or None when the "
      "compiled loop cannot run this scheduler (pure loop takes over)."},
     {"drive_stats", (PyCFunction)hl_drive_stats, METH_FASTCALL,
      "drive_stats(reset=False) -> {'calls': n, 'exits': {...}, "
-     "'timers_fired': {'ready': n, 'callback': n}, 'callbacks_raised': n}."},
+     "'timers_fired': {'ready': n, 'callback': n}, 'callbacks_raised': n, "
+     "'recorded': n}."},
     {"bind_fastops", hl_bind_fastops, METH_VARARGS,
      "bind_fastops(Channel, _Waiter, _SelectContext, SendCase, RecvCase, "
      "Mutex, MutexTicket, RWMutex, RWTicket, Trace, Goroutine, "
@@ -2819,6 +3274,9 @@ static PyMethodDef hl_methods[] = {
      "rw_lock(rw) -> None, or NotImplemented."},
     {"rw_unlock", (PyCFunction)fo_rw_unlock, METH_O,
      "rw_unlock(rw) -> None, or NotImplemented."},
+    {"sleep", (PyCFunction)fo_sleep, METH_FASTCALL,
+     "sleep(sched, duration) -> None, or NotImplemented to use the pure "
+     "Runtime.sleep."},
     {"vc_join", (PyCFunction)hl_vc_join, METH_FASTCALL,
      "vc_join(v, o): in-place pointwise max of two dense count lists."},
     {"vc_le", (PyCFunction)hl_vc_le, METH_FASTCALL,
@@ -2889,6 +3347,12 @@ PyInit__hotloop(void)
     INTERN(s_preempt, "preempt");
     INTERN(s_yield, "yield_to_scheduler");
     INTERN(r_select, "select");
+    INTERN(s_capture_sites, "capture_sites");
+    INTERN(s_on_step, "on_step");
+    INTERN(s_seq, "_seq");
+    INTERN(s_duration, "duration");
+    INTERN(s_reason, "reason");
+    INTERN(r_time_sleep, "time.sleep");
 #undef INTERN
 
 #define MKSTR(var, text)                                    \

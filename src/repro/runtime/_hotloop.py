@@ -14,12 +14,13 @@ three behind one stable surface:
 * :func:`get_drive` — the fused per-step scheduler loop (compiled only).
   Returns ``None`` when unavailable; the scheduler then runs its pure loop.
   The compiled loop engages only when nothing observable differs: no trace
-  consumer, no fault injector, no observe hooks, structured stop conditions
-  and the stock RNG (see ``Scheduler.run_until_quiescent``).  It also fires
-  the virtual clock's due timers itself when nothing is runnable, popping
-  the same ``heapq`` timer heap the pure loop uses, so a timer-driven run
-  stays inside it; :func:`drive_stats` counts its calls, exits and fired
-  timers.
+  listener (a kept trace is recorded in C), no fault injector, no observe
+  hooks, structured stop conditions and the stock RNG (see
+  ``Scheduler.run_until_quiescent``).  It also fires the virtual clock's
+  due timers itself when nothing is runnable, popping the same ``heapq``
+  timer heap the pure loop uses, so a timer-driven run stays inside it;
+  :func:`drive_stats` counts its calls, exits, fired timers and the trace
+  events it recorded.
 * :class:`VectorClock` — array-backed vector clocks (a dense list indexed
   by gid, matching the simulator's small dense goroutine ids) behind the
   exact API the old sparse dict-backed clock exposed.
@@ -79,10 +80,12 @@ def get_drive() -> Optional[Callable[[Any, bool], Optional[str]]]:
                     tasklet_module,
                 )
 
+                from . import trace
+
                 mod = tasklet_module()
                 _c.bind(Goroutine, TaskletGoroutine, GState,
                         mod.Tasklet if mod is not None else None,
-                        TimerHandle)
+                        TimerHandle, trace)
                 _drive = _c.drive
             except Exception:  # pragma: no cover - defensive: stay pure
                 _drive = None
@@ -95,11 +98,13 @@ def get_fastops() -> Optional[Any]:
     """The compiled channel/select/sync fast ops, or None without them.
 
     Returns the extension module itself (``chan_send``, ``chan_recv``,
-    ``select_op``, ``mutex_lock``, ... live on it); every op re-checks
-    engagement per call and returns ``NotImplemented`` to defer to the
-    pure primitive whenever a trace consumer, fault injector or missing
-    goroutine context makes the pure path observable.  First call binds
-    the primitive classes' slot offsets into the extension.
+    ``select_op``, ``mutex_lock``, ``sleep``, ... live on it); every op
+    re-checks engagement per call and returns ``NotImplemented`` to defer
+    to the pure primitive whenever a trace listener, fault injector or
+    missing goroutine context makes the pure path observable.  A kept
+    trace is recorded in C by ``sleep``; the channel/select/sync ops still
+    defer to the pure path under any active trace.  First call binds the
+    primitive classes' slot offsets into the extension.
     """
     global _fastops, _fastops_resolved
     if not _fastops_resolved:
@@ -137,9 +142,11 @@ def drive_stats(reset: bool = False) -> Optional[Dict[str, Any]]:
 
     ``{"calls": n, "exits": {"stopped", "timeout", "steps", "idle",
     "ineligible", "error"}, "timers_fired": {"ready", "callback"},
-    "callbacks_raised": n}`` — shaped like ``fastops_stats``; ``reset``
-    zeroes them after reading.  A timer-driven run that stays compiled
-    shows a handful of calls and its timers under ``timers_fired``.
+    "callbacks_raised": n, "recorded": n}`` — shaped like
+    ``fastops_stats``; ``reset`` zeroes them after reading.  A timer-driven
+    run that stays compiled shows a handful of calls and its timers under
+    ``timers_fired``; ``recorded`` counts the trace events appended to
+    kept traces from C (by the loop and the compiled ``sleep``).
     """
     if _c is None:
         return None

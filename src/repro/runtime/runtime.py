@@ -141,6 +141,10 @@ class Runtime:
     def sleep(self, duration: float) -> None:
         """Sleep on the virtual clock, like ``time.Sleep``."""
         sched = self.sched
+        fast = sched._fastops
+        if (fast is not None
+                and fast.sleep(sched, duration) is not NotImplemented):
+            return
         g = sched.current
         if sched.trace.active:
             sched.emit(EventKind.SLEEP, info={"duration": duration})

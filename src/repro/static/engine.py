@@ -12,13 +12,12 @@ every stage.
 
 from __future__ import annotations
 
-import inspect
 import time
 from pathlib import Path
 from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
 
 from . import capture, chanshape, lockgraph, sharedrace
-from .interp import build_model
+from .interp import build_model, interp_for
 from .ir import ProgramModel
 from .model import StaticFinding, StaticReport, dedupe
 
@@ -62,37 +61,16 @@ def analyze_kernel(kernel: Any, variant: str = "buggy") -> StaticReport:
     return analyze_program(kernel, variant=variant)
 
 
-_CLASS_TREES: dict = {}
-
-
-def _class_tree(kernel_cls: Any):
-    """One ``inspect.getsource`` + ``ast.parse`` per kernel class, cached."""
-    import ast
-    import textwrap
-    if kernel_cls in _CLASS_TREES:
-        return _CLASS_TREES[kernel_cls]
-    tree = None
-    try:
-        source = inspect.getsource(kernel_cls)
-        tree = ast.parse(textwrap.dedent(source))
-    except (OSError, TypeError, SyntaxError):
-        tree = None
-    _CLASS_TREES[kernel_cls] = tree
-    return tree
-
-
 def _capture_program(kernel_cls: Any, variant: str) -> List[StaticFinding]:
     """Run the syntactic capture scanner on the variant's entry code.
 
     Scanning only the relevant variant (plus shared helpers) keeps a
-    capture bug in ``buggy`` from bleeding into the ``fixed`` report.
+    capture bug in ``buggy`` from bleeding into the ``fixed`` report.  The
+    class node is the interpreter's own parse (``build_model`` ran first).
     """
     import ast
     other = "fixed" if variant == "buggy" else "buggy"
-    tree = _class_tree(kernel_cls)
-    if tree is None:
-        return []
-    cls = tree.body[0]
+    cls = interp_for(kernel_cls).class_node
     kept = [n for n in cls.body
             if not (isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and n.name == other)]

@@ -1252,17 +1252,23 @@ class StaticInterp:
 _INTERP_CACHE: Dict[type, "StaticInterp"] = {}
 
 
-def build_model(kernel_cls, variant: str = "buggy") -> ProgramModel:
-    """Public entry: interpret one kernel variant into a ProgramModel.
+def interp_for(kernel_cls) -> "StaticInterp":
+    """The cached interpreter of ``kernel_cls`` (a class or instance).
 
-    The parse (``StaticInterp.__init__``) is cached per class —
-    ``analyze`` resets all per-run state, so both variants share it.
+    The parse (``StaticInterp.__init__``) happens once per class —
+    ``analyze`` resets all per-run state, so both variants share it, and
+    the syntactic capture scanner reads the same ``class_node``.
     """
     key = kernel_cls if isinstance(kernel_cls, type) else type(kernel_cls)
     interp = _INTERP_CACHE.get(key)
     if interp is None:
         interp = _INTERP_CACHE[key] = StaticInterp(kernel_cls)
-    model = interp.analyze(variant)
+    return interp
+
+
+def build_model(kernel_cls, variant: str = "buggy") -> ProgramModel:
+    """Public entry: interpret one kernel variant into a ProgramModel."""
+    model = interp_for(kernel_cls).analyze(variant)
     model.target = getattr(kernel_cls, "meta", None) and \
         f"{kernel_cls.meta.kernel_id} ({variant})" or variant
     return model

@@ -6,12 +6,13 @@ due timers and runs them itself, instead of returning to
 These tests run each timer shape twice — compiled, and under
 :class:`force_pure` — and require byte-identical outcomes: status, steps,
 ``repr`` of the end time (so an int deadline stays an int), and a digest of
-the schedule as the program itself observed it.  The compiled loop only
-engages on untraced runs, where ``schedule_digest`` has no trace to hash,
-so each program logs ``(gid, repr(now), label)`` at every point of
-interest; the order of that log is the interleaving.  Traced runs (pure
-loop either way) are pinned too: their ``schedule_digest`` matches across
-the two modes and their step count matches the untraced compiled run.
+the schedule as the program itself observed it.  Untraced runs have no
+trace for ``schedule_digest`` to hash, so each program logs ``(gid,
+repr(now), label)`` at every point of interest; the order of that log is
+the interleaving.  Traced runs (recorded from C by the compiled loop;
+``tests/runtime/test_traced_drive.py`` compares them event by event) are
+pinned too: their ``schedule_digest`` matches across the two modes and
+their step count matches the untraced compiled run.
 
 ``drive_stats`` proves the compiled side really fired timers in the loop.
 Without the extension the comparison is pure vs pure and still passes.

@@ -14,7 +14,7 @@ def test_single_cell_records_backend_and_compiled():
         assert row["fastops_per_run"] > 0
     traced = bench.bench_single(bench.WORKLOADS["pingpong"], keep_trace=True,
                                 rounds=2, repeats=1)
-    # A live trace consumer makes every fast op bail to the observable
+    # An active trace makes every channel fast op bail to the observable
     # pure primitive — the accelerators stay loaded, but engage nothing.
     assert traced["compiled"] == bench.HAS_COMPILED
     assert traced["fastops_per_run"] == 0
@@ -51,10 +51,17 @@ def test_backend_comparison_section(monkeypatch):
 
 
 def test_fallbacks_section_reports_drive_counters():
+    from repro import run
     from repro.net.demo import loadgen_summary
-    from repro.runtime._hotloop import drive_stats
+    from repro.runtime._hotloop import drive_stats, get_fastops
+
+    def napper(rt):
+        rt.sleep(0.5)
+        rt.sleep(0.25)
 
     drive_stats(True)
+    if get_fastops() is not None:
+        get_fastops().fastops_stats(True)
     loadgen_summary(seed=0, clients=2, requests=10)
     section = bench.collect_runtime_fallbacks()
     rendered = bench.render({"python": "3.11", "cpus": 1,
@@ -70,6 +77,18 @@ def test_fallbacks_section_reports_drive_counters():
     assert drive["timers_fired"]["ready"] >= 20
     assert drive["timers_fired"]["callback"] >= 40
     assert "  drive: " in rendered
+    # The untraced loadgen recorded nothing; its sleeps were compiled.
+    assert drive["recorded"] == 0
+    assert section["fastops"]["engaged"]["sleep"] >= 20
+    # A kept-trace run stays compiled too, its events recorded from C:
+    # two time.sleep + go.block + timer.fire + go.unblock, and go.end.
+    run(napper, keep_trace=True)
+    section = bench.collect_runtime_fallbacks()
+    rendered = bench.render({"python": "3.11", "cpus": 1,
+                             "fallbacks": section})
+    assert section["drive"]["recorded"] == 9
+    assert "trace events recorded 9" in rendered
+    assert "(sleep " in rendered
 
 
 def _doc(sps_fast, sps_traced, backend="tasklet"):
