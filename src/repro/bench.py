@@ -55,8 +55,9 @@ from .runtime.runtime import run
 #: the whole bench process); ``single`` cells gain ``fastops_per_run`` and
 #: ``compiled`` now reports what the run actually had loaded.  Additive
 #: since: ``fallbacks`` carries ``drive`` (the compiled step loop's calls,
-#: exits by verdict, timers fired inside it and trace events recorded from
-#: C, from ``drive_stats``), and ``fastops`` a ``sleep`` kind.
+#: exits by verdict, timers fired inside it, trace events recorded from
+#: C and calls that drew through a Python ``randrange``, from
+#: ``drive_stats``), and ``fastops`` a ``sleep`` kind.
 SCHEMA = 4
 
 
@@ -1172,7 +1173,8 @@ def render(document: Dict[str, Any]) -> str:
                          f"ready:{fired['ready']:,} "
                          f"callback:{fired['callback']:,}, callbacks "
                          f"raised {drive['callbacks_raised']}; trace events "
-                         f"recorded {drive['recorded']:,}")
+                         f"recorded {drive['recorded']:,}; scripted "
+                         f"{drive.get('scripted', 0):,} call(s)")
     if "recovery" in document:
         recovery = document["recovery"]
         lines.append("")

@@ -2,14 +2,23 @@
 
 The explorer's schedule tree branches on raw ``randrange`` indices; to
 prune equivalent branches it must know what each choice *did*.  This
-module answers that with two inert runtime hooks:
+module answers that in two parts:
 
-* :attr:`Scheduler.annotate_pick` reports, for every scheduling decision,
-  the runnable goroutines offered and the index chosen — aligned to the
-  scripted choice log by position (the hook fires right after the draw).
-* a trace listener buckets the events each picked goroutine then performs
-  into that decision's *segment* and reduces them to a **footprint**: the
-  set of synchronization objects and goroutines the segment touched.
+* the inert :attr:`Scheduler.annotate_pick` hook reports, for every
+  scheduling decision, the runnable goroutines offered and the index
+  chosen — aligned to the scripted choice log by position (the hook fires
+  right after the draw) and to the trace by the scheduler step it opens;
+* after the run, one pass over the kept trace gives each event to the
+  decision whose step it carries — the *segment* that picked goroutine
+  then executed — and each segment reduces to a **footprint**: the set of
+  synchronization objects and goroutines it touched.
+
+Every event between two picks carries the earlier pick's step (the
+scheduler only advances ``_steps`` at a pick), so the step bucketing is
+the same as attributing each event to the latest pick while the run is
+live; events before the first pick (main's ``GO_CREATE``) belong to no
+segment.  Reading the kept trace instead of subscribing a listener keeps
+explorer runs on the compiled loop (:mod:`repro.runtime._hotloop`).
 
 Footprints drive the sleep-set pruning rule in
 :mod:`repro.detect.systematic`: two segments on different goroutines with
@@ -42,7 +51,9 @@ never commute.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, FrozenSet, List, Optional, Tuple
+from itertools import groupby
+from operator import attrgetter
+from typing import Any, Dict, FrozenSet, Iterable, List, Tuple
 
 from ..runtime.trace import EventKind, TraceEvent
 
@@ -89,6 +100,8 @@ _OBJ_KINDS = frozenset({
 #: gid of the program's main goroutine (first spawned by ``run``).
 MAIN_GID = 1
 
+_STEP = attrgetter("step")
+
 
 @dataclass(frozen=True)
 class PickAnnotation:
@@ -113,109 +126,103 @@ class PickAnnotation:
     poisoned: bool
 
 
-class _Segment:
-    __slots__ = ("position", "gids", "chosen", "gid", "tokens", "poisoned")
-
-    def __init__(self, position: int, gids: Tuple[int, ...], chosen: int):
-        self.position = position
-        self.gids = gids
-        self.chosen = chosen
-        self.gid = gids[chosen]
-        self.tokens = {("g", self.gid)}
-        self.poisoned = False
+def _footprint(gid: int, events: Iterable[TraceEvent]
+              ) -> Tuple[FrozenSet[Tuple[str, int]], bool]:
+    """Reduce the events of one segment — what goroutine ``gid`` did after
+    it was picked — to its ``(tokens, poisoned)`` footprint."""
+    tokens = {("g", gid)}
+    poisoned = False
+    for event in events:
+        kind = event.kind
+        if kind in _OBJ_KINDS:
+            if event.obj is not None:
+                tokens.add(("o", event.obj))
+            else:  # pragma: no cover - defensive
+                poisoned = True
+            if event.gid != gid:
+                # Completing a parked peer's operation touches that peer.
+                tokens.add(("g", event.gid))
+        elif kind in _GID_OBJ_KINDS:
+            tokens.add(("g", event.obj))
+        elif kind == EventKind.GO_BLOCK:
+            info = event.info or {}
+            objs = info.get("objs")
+            if event.obj is not None:
+                tokens.add(("o", event.obj))
+            elif objs:
+                tokens.update(("o", obj) for obj in objs)
+            elif info.get("reason") == "time.sleep":
+                tokens.add(_TIMER_TOKEN)
+            else:
+                # External waits, nil channels: wait queue unnamed.
+                poisoned = True
+        elif kind == EventKind.SELECT_BEGIN:
+            chans = (event.info or {}).get("chans")
+            if chans is None:  # pragma: no cover - defensive
+                poisoned = True
+            else:
+                tokens.update(("o", obj) for obj in chans)
+        elif kind == EventKind.SLEEP:
+            tokens.add(_TIMER_TOKEN)
+        elif kind == EventKind.GO_END:
+            if event.gid == MAIN_GID:
+                # Main ending flips the run into drain mode.
+                poisoned = True
+            else:
+                tokens.add(("g", event.gid))
+        elif kind in _INERT_KINDS:
+            pass
+        else:
+            # Timer fires, faults, panics, net.*, unknown kinds.
+            poisoned = True
+    return frozenset(tokens), poisoned
 
 
 class ChoiceAnnotator:
     """Observer recording pick offers and segment footprints for one run.
 
     Pass in ``observers=[annotator]`` to :func:`repro.run` alongside the
-    scripted ``rng``; read :attr:`picks` afterwards.  Attaching subscribes
-    a trace listener (events are delivered even with ``keep_trace=False``)
-    and installs the ``annotate_pick`` scheduler hook.
+    scripted ``rng``; read :attr:`picks` afterwards.  Attaching installs
+    the ``annotate_pick`` scheduler hook and makes sure the run keeps its
+    trace (turning event keeping on for a ``keep_trace=False`` run, whose
+    ``result.trace`` stays None); :meth:`finish` reads the footprints from
+    that trace.  No trace listener is subscribed.
     """
 
     def __init__(self) -> None:
         self.picks: List[PickAnnotation] = []
-        self._segments: List[_Segment] = []
-        self._current: Optional[_Segment] = None
-        self._rng: Any = None
+        #: ``(step, position, gids, chosen)`` per pick, in pick order.
+        self._offers: List[Tuple[int, int, Tuple[int, ...], int]] = []
+        self._sched: Any = None
+        self._log: List[Tuple[int, int]] = []
 
     # -- observer protocol -------------------------------------------------
 
     def attach(self, rt: Any) -> None:
         sched = rt.sched
-        self._rng = sched.rng
+        self._sched = sched
+        self._log = sched.rng.log
         sched.annotate_pick = self._on_pick
-        sched.trace.subscribe(self._on_event)
+        trace = sched.trace
+        if not trace._keep_events:
+            trace._keep_events = True
+            trace.active = True
 
     def finish(self, result: Any) -> None:
-        self._flush()
+        # One pass groups the events by the step they carry; a step no pick
+        # opened (step 0, before the first pick) is never looked up.
+        events_at: Dict[int, List[TraceEvent]] = {}
+        for step, events in groupby(self._sched.trace.events, _STEP):
+            events_at.setdefault(step, []).extend(events)
         self.picks = [
-            PickAnnotation(seg.position, seg.gids, seg.chosen,
-                           frozenset(seg.tokens), seg.poisoned)
-            for seg in self._segments
+            PickAnnotation(position, gids, chosen,
+                           *_footprint(gids[chosen], events_at.get(step, ())))
+            for step, position, gids, chosen in self._offers
         ]
 
     # -- hooks -------------------------------------------------------------
 
     def _on_pick(self, runnable: List[Any], idx: int) -> None:
         # The draw just happened, so its log entry is the last one.
-        position = len(self._rng.log) - 1
-        self._flush()
-        self._current = _Segment(
-            position, tuple(g.gid for g in runnable), idx)
-
-    def _on_event(self, event: TraceEvent) -> None:
-        seg = self._current
-        if seg is None:
-            # Pre-first-pick setup (main's GO_CREATE): nothing to prune.
-            return
-        kind = event.kind
-        if kind in _OBJ_KINDS:
-            if event.obj is not None:
-                seg.tokens.add(("o", event.obj))
-            else:  # pragma: no cover - defensive
-                seg.poisoned = True
-            if event.gid != seg.gid:
-                # Completing a parked peer's operation touches that peer.
-                seg.tokens.add(("g", event.gid))
-        elif kind in _GID_OBJ_KINDS:
-            seg.tokens.add(("g", event.obj))
-        elif kind == EventKind.GO_BLOCK:
-            info = event.info or {}
-            objs = info.get("objs")
-            if event.obj is not None:
-                seg.tokens.add(("o", event.obj))
-            elif objs:
-                seg.tokens.update(("o", obj) for obj in objs)
-            elif info.get("reason") == "time.sleep":
-                seg.tokens.add(_TIMER_TOKEN)
-            else:
-                # External waits, nil channels: wait queue unnamed.
-                seg.poisoned = True
-        elif kind == EventKind.SELECT_BEGIN:
-            chans = (event.info or {}).get("chans")
-            if chans is None:  # pragma: no cover - defensive
-                seg.poisoned = True
-            else:
-                seg.tokens.update(("o", obj) for obj in chans)
-        elif kind == EventKind.SLEEP:
-            seg.tokens.add(_TIMER_TOKEN)
-        elif kind == EventKind.GO_END:
-            if event.gid == MAIN_GID:
-                # Main ending flips the run into drain mode.
-                seg.poisoned = True
-            else:
-                seg.tokens.add(("g", event.gid))
-        elif kind in _INERT_KINDS:
-            pass
-        else:
-            # Timer fires, faults, panics, net.*, unknown kinds.
-            seg.poisoned = True
-
-    # -- internals ---------------------------------------------------------
-
-    def _flush(self) -> None:
-        if self._current is not None:
-            self._segments.append(self._current)
-            self._current = None
+        self._offers.append((self._sched._steps, len(self._log) - 1,
+                             tuple([g.gid for g in runnable]), idx))

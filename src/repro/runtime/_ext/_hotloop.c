@@ -21,9 +21,15 @@
  *     keeps stepping, so a timer-driven run enters the loop a handful of
  *     times instead of once per timer.  A "ready goroutine" timer (callback
  *     None) costs no Python call at all.  Only runs when nothing observable
- *     differs from the pure loop: no trace listener, no injector, no observe
- *     hooks, structured stop conditions, and the scheduler's RNG is the C
- *     type above.  Anything else returns None and the pure loop takes over.
+ *     differs from the pure loop: no trace listener, no injector, no
+ *     ``on_step`` hook and structured stop conditions.  Anything else
+ *     returns None and the pure loop takes over.  The stock RNG (the C type
+ *     above) is read directly; any other RNG — the systematic explorer's
+ *     scripted choices — draws through ``sched._randrange(n)``, the bound
+ *     method the pure ``_advance`` calls, and the result indexes the
+ *     runnable list with list semantics.  When ``sched.annotate_pick`` is
+ *     set it is called after the draw with ``(runnable, index)``, exactly
+ *     where ``_advance`` calls it, with ``sched._steps`` already current.
  *     A kept trace is recorded in C: the events the pure loop emits itself
  *     (go.end / go.panic, timer.fire + go.unblock for fired ready timers)
  *     are appended to ``trace._events`` as TraceEvents built through slot
@@ -398,7 +404,8 @@ static PyObject *s_runnable_attr = NULL, *s_rng = NULL, *s_stop_mode = NULL,
                 *s_steps = NULL, *s_time_limit = NULL, *s_clock = NULL,
                 *s_now = NULL, *s_current = NULL, *s_resume = NULL,
                 *s_state = NULL, *s_ended_at = NULL, *s_now_attr = NULL,
-                *s_heap = NULL, *s_ready = NULL;
+                *s_heap = NULL, *s_ready = NULL, *s_randrange = NULL,
+                *s_annotate_pick = NULL;
 
 static PyObject *v_stopped = NULL, *v_timeout = NULL, *v_steps = NULL,
                 *v_idle = NULL;
@@ -410,12 +417,13 @@ static PyObject *s_trace = NULL, *s_injector = NULL, *s_preempt = NULL,
                 *long_zero = NULL;
 
 /* drive_stats() counters: calls, exits by verdict, timers fired in the
- * loop by kind, timer callbacks that raised, and trace events recorded
- * from C (by drive and the compiled sleep). */
+ * loop by kind, timer callbacks that raised, trace events recorded from C
+ * (by drive and the compiled sleep), and calls that drew through a Python
+ * ``randrange``. */
 enum { DX_STOPPED, DX_TIMEOUT, DX_STEPS, DX_IDLE, DX_INELIGIBLE, DX_ERROR,
        DX_N };
 static long long dr_calls, dr_exits[DX_N], dr_fired_ready, dr_fired_callback,
-                 dr_callback_raised, dr_recorded;
+                 dr_callback_raised, dr_recorded, dr_scripted;
 
 static int
 member_offset(PyObject *cls, const char *name, Py_ssize_t *out)
@@ -959,9 +967,16 @@ hl_drive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
      * current step as an int object, stamped on recorded events. */
     PyObject *events = NULL, *step_obj = NULL;
     PyObject *stop_g = NULL;          /* borrowed from stop_mode */
-    BatchedRandomObject *rng = NULL;
+    BatchedRandomObject *rng = NULL;  /* the stock rng, read directly */
+    /* Otherwise ``sched._randrange``; and ``sched.annotate_pick`` (NULL
+     * when None). */
+    PyObject *randrange = NULL, *annotate = NULL;
     PyObject *verdict = NULL;         /* borrowed from the v_* constants */
     int failed = 0;
+    /* A failure outside a goroutine switch (a draw, the pick hook, a timer
+     * callback) leaves ``_current`` None, as the pure loop does. */
+    int clear_current = 0;
+    int drew_scripted = 0;
     int stop_main = 0;
     int time_exceeded = 0;
     long long budget = 0, budget_used = 0, steps = 0;
@@ -970,9 +985,16 @@ hl_drive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (runnable == NULL || !PyList_CheckExact(runnable))
         goto ineligible;
     rng_obj = PyObject_GetAttr(sched, s_rng);
-    if (rng_obj == NULL || Py_TYPE(rng_obj) != &BatchedRandom_Type)
+    if (rng_obj == NULL)
         goto ineligible;
-    rng = (BatchedRandomObject *)rng_obj;
+    if (Py_TYPE(rng_obj) == &BatchedRandom_Type) {
+        rng = (BatchedRandomObject *)rng_obj;
+    }
+    else {
+        randrange = PyObject_GetAttr(sched, s_randrange);
+        if (randrange == NULL)
+            goto ineligible;
+    }
     stop_mode = PyObject_GetAttr(sched, s_stop_mode);
     if (stop_mode == NULL || !PyTuple_Check(stop_mode) ||
         PyTuple_GET_SIZE(stop_mode) != 2)
@@ -1005,6 +1027,11 @@ hl_drive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         if (step_obj == NULL)
             goto fail_entry;
     }
+    annotate = PyObject_GetAttr(sched, s_annotate_pick);
+    if (annotate == NULL)
+        goto fail_entry;
+    if (annotate == Py_None)
+        Py_CLEAR(annotate);
     panicked = PyObject_GetAttr(sched, s_panicked_attr);
     if (panicked == NULL)
         goto fail_entry;
@@ -1064,7 +1091,7 @@ hl_drive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 if (!advance_clock) { verdict = v_idle; break; }
                 int fired = drive_fire_timers(sched, clock, heap, &batch,
                                               &now_obj, events, step_obj);
-                if (fired < 0) { failed = 1; break; }
+                if (fired < 0) { failed = 1; clear_current = 1; break; }
                 if (fired == 0) { verdict = v_idle; break; }
                 /* Callbacks run Python: re-read what they may change. */
                 PyObject *now2 = PyObject_GetAttr(clock, s_now);
@@ -1088,9 +1115,69 @@ hl_drive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                     break;
                 }
             }
-            uint32_t idx = mt_randrange32(rng, (uint32_t)nrun);
-            PyObject *g = PyList_GET_ITEM(runnable, idx);
-            Py_INCREF(g);
+            PyObject *g, *idx_obj = NULL;
+            if (rng != NULL) {
+                uint32_t idx = mt_randrange32(rng, (uint32_t)nrun);
+                g = PyList_GET_ITEM(runnable, idx);
+                Py_INCREF(g);
+                if (annotate != NULL &&
+                    (idx_obj = PyLong_FromUnsignedLong(idx)) == NULL) {
+                    Py_DECREF(g);
+                    failed = clear_current = 1;
+                    break;
+                }
+            }
+            else {
+                /* A Python rng (the explorer's scripted choices): the same
+                 * call and list indexing as the pure _advance, so a
+                 * negative index wraps and an out-of-range one raises. */
+                if (!drew_scripted) {
+                    drew_scripted = 1;
+                    dr_scripted++;
+                }
+                PyObject *n_obj = PyLong_FromSsize_t(nrun);
+                if (n_obj == NULL) {
+                    failed = clear_current = 1;
+                    break;
+                }
+                idx_obj = PyObject_CallOneArg(randrange, n_obj);
+                Py_DECREF(n_obj);
+                if (idx_obj == NULL) {
+                    failed = clear_current = 1;
+                    break;
+                }
+                g = PyObject_GetItem(runnable, idx_obj);
+                if (g == NULL) {
+                    Py_DECREF(idx_obj);
+                    failed = clear_current = 1;
+                    break;
+                }
+            }
+            if (annotate != NULL) {
+                /* The hook reads sched._steps (a recorded run has already
+                 * written it back above). */
+                int hook_failed = 0;
+                if (events == NULL) {
+                    PyObject *so = PyLong_FromLongLong(steps);
+                    hook_failed = (so == NULL ||
+                                   PyObject_SetAttr(sched, s_steps, so) < 0);
+                    Py_XDECREF(so);
+                }
+                if (!hook_failed) {
+                    PyObject *hargs[2] = {runnable, idx_obj};
+                    PyObject *r = PyObject_Vectorcall(annotate, hargs, 2,
+                                                      NULL);
+                    hook_failed = (r == NULL);
+                    Py_XDECREF(r);
+                }
+                if (hook_failed) {
+                    Py_DECREF(idx_obj);
+                    Py_DECREF(g);
+                    failed = clear_current = 1;
+                    break;
+                }
+            }
+            Py_XDECREF(idx_obj);
 
             if (Py_TYPE(g) == tk_go_type && switch_meth != NULL) {
                 /* Fast path: slot writes + a direct continuation switch
@@ -1222,7 +1309,7 @@ hl_drive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 PyObject_SetAttr(sched, s_steps, stp) < 0)
                 wb_failed = 1;
         }
-        if (!failed && !wb_failed &&
+        if ((!failed || clear_current) && !wb_failed &&
             PyObject_SetAttr(sched, s_current, Py_None) < 0)
             wb_failed = 1;
         Py_XDECREF(bu);
@@ -1241,6 +1328,8 @@ hl_drive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Py_XDECREF(now_obj);
     Py_XDECREF(clock);
     Py_XDECREF(panicked);
+    Py_XDECREF(annotate);
+    Py_XDECREF(randrange);
     Py_XDECREF(stop_mode);
     Py_XDECREF(rng_obj);
     Py_XDECREF(runnable);
@@ -1259,6 +1348,7 @@ ineligible:
      * tell Python to use the pure loop (None).  Clear any attribute error
      * raised while probing. */
     PyErr_Clear();
+    Py_XDECREF(randrange);
     Py_XDECREF(stop_mode);
     Py_XDECREF(rng_obj);
     Py_XDECREF(runnable);
@@ -1274,6 +1364,8 @@ fail_entry:
     Py_XDECREF(now_obj);
     Py_XDECREF(clock);
     Py_XDECREF(panicked);
+    Py_XDECREF(annotate);
+    Py_XDECREF(randrange);
     Py_XDECREF(stop_mode);
     Py_XDECREF(rng_obj);
     Py_XDECREF(runnable);
@@ -3042,17 +3134,18 @@ hl_drive_stats(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         }
         Py_DECREF(v);
     }
-    result = Py_BuildValue("{sLsOs{sLsL}sLsL}",
+    result = Py_BuildValue("{sLsOs{sLsL}sLsLsL}",
                            "calls", dr_calls,
                            "exits", exits,
                            "timers_fired",
                            "ready", dr_fired_ready,
                            "callback", dr_fired_callback,
                            "callbacks_raised", dr_callback_raised,
-                           "recorded", dr_recorded);
+                           "recorded", dr_recorded,
+                           "scripted", dr_scripted);
     if (result != NULL && reset) {
         dr_calls = dr_fired_ready = dr_fired_callback = 0;
-        dr_callback_raised = dr_recorded = 0;
+        dr_callback_raised = dr_recorded = dr_scripted = 0;
         memset(dr_exits, 0, sizeof(dr_exits));
     }
 done:
@@ -3243,7 +3336,7 @@ static PyMethodDef hl_methods[] = {
     {"drive_stats", (PyCFunction)hl_drive_stats, METH_FASTCALL,
      "drive_stats(reset=False) -> {'calls': n, 'exits': {...}, "
      "'timers_fired': {'ready': n, 'callback': n}, 'callbacks_raised': n, "
-     "'recorded': n}."},
+     "'recorded': n, 'scripted': n}."},
     {"bind_fastops", hl_bind_fastops, METH_VARARGS,
      "bind_fastops(Channel, _Waiter, _SelectContext, SendCase, RecvCase, "
      "Mutex, MutexTicket, RWMutex, RWTicket, Trace, Goroutine, "
@@ -3338,6 +3431,8 @@ PyInit__hotloop(void)
     INTERN(s_now_attr, "_now");
     INTERN(s_heap, "_heap");
     INTERN(s_ready, "ready");
+    INTERN(s_randrange, "_randrange");
+    INTERN(s_annotate_pick, "annotate_pick");
     INTERN(v_stopped, "stopped");
     INTERN(v_timeout, "timeout");
     INTERN(v_steps, "steps");

@@ -14,13 +14,17 @@ three behind one stable surface:
 * :func:`get_drive` — the fused per-step scheduler loop (compiled only).
   Returns ``None`` when unavailable; the scheduler then runs its pure loop.
   The compiled loop engages only when nothing observable differs: no trace
-  listener (a kept trace is recorded in C), no fault injector, no observe
-  hooks, structured stop conditions and the stock RNG (see
-  ``Scheduler.run_until_quiescent``).  It also fires the virtual clock's
-  due timers itself when nothing is runnable, popping the same ``heapq``
-  timer heap the pure loop uses, so a timer-driven run stays inside it;
-  :func:`drive_stats` counts its calls, exits, fired timers and the trace
-  events it recorded.
+  listener (a kept trace is recorded in C), no fault injector, no
+  ``on_step`` hook and structured stop conditions (see
+  ``Scheduler.run_until_quiescent``).  Any RNG works: the stock one is
+  read directly, any other (the systematic explorer's scripted choices)
+  draws through ``Scheduler._randrange``, and the ``annotate_pick`` hook
+  is called after each draw, as in the pure loop.  It also fires the
+  virtual clock's due timers itself when nothing is runnable, popping the
+  same ``heapq`` timer heap the pure loop uses, so a timer-driven run
+  stays inside it; :func:`drive_stats` counts its calls, exits, fired
+  timers, the trace events it recorded and the calls that drew through a
+  Python ``randrange``.
 * :class:`VectorClock` — array-backed vector clocks (a dense list indexed
   by gid, matching the simulator's small dense goroutine ids) behind the
   exact API the old sparse dict-backed clock exposed.
@@ -65,7 +69,11 @@ def get_drive() -> Optional[Callable[[Any, bool], Optional[str]]]:
     state constants, the continuation switch); that may lazily compile
     ``_ctasklet`` for the fast switching path.  ``drive`` still works —
     through a generic ``resume()`` call — for generator-backed goroutines
-    and thread hosts.
+    and thread hosts, and for any RNG: a non-stock one is called through
+    ``sched._randrange(n)`` and its result indexes the runnable list with
+    list semantics, followed by ``sched.annotate_pick`` when set.  It
+    returns None (ineligible) only for a shape it cannot step, such as a
+    runnable set that is not a plain list or an unknown stop mode.
     """
     global _drive, _drive_resolved
     if not _drive_resolved:
@@ -142,11 +150,13 @@ def drive_stats(reset: bool = False) -> Optional[Dict[str, Any]]:
 
     ``{"calls": n, "exits": {"stopped", "timeout", "steps", "idle",
     "ineligible", "error"}, "timers_fired": {"ready", "callback"},
-    "callbacks_raised": n, "recorded": n}`` — shaped like
+    "callbacks_raised": n, "recorded": n, "scripted": n}`` — shaped like
     ``fastops_stats``; ``reset`` zeroes them after reading.  A timer-driven
     run that stays compiled shows a handful of calls and its timers under
     ``timers_fired``; ``recorded`` counts the trace events appended to
-    kept traces from C (by the loop and the compiled ``sleep``).
+    kept traces from C (by the loop and the compiled ``sleep``);
+    ``scripted`` counts the calls that drew through a Python
+    ``randrange`` (the explorer's scripted choices) at least once.
     """
     if _c is None:
         return None

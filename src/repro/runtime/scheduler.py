@@ -507,20 +507,23 @@ class Scheduler:
         # The compiled fused loop stands in for the whole per-step body
         # below — timer firing included — whenever nothing observable
         # differs from the pure path: a structured stop condition, no trace
-        # listener (a kept trace is recorded in C), no injector, no
-        # observe/explore hooks, and the stock RNG (checked inside drive).
+        # listener (a kept trace is recorded in C), no injector and no
+        # ``on_step`` hook.  Any RNG and the ``annotate_pick`` hook are
+        # fine: drive reads the stock RNG directly, calls ``_randrange``
+        # for any other (the explorer's scripted choices), and calls the
+        # pick hook where ``_advance`` does.
         hot = self._hot if stop_mode is not None else None
         try:
             while True:
                 if (hot is not None and self.injector is None
                         and self.on_step is None
-                        and self.annotate_pick is None
                         and not self.trace._listeners
                         and not self.capture_sites):
                     verdict = hot(self, advance_clock)
                     if verdict is None:
-                        # Static mismatch (e.g. a scripted RNG): the pure
-                        # loop takes over for the rest of this call.
+                        # Static mismatch (e.g. a runnable set that is not
+                        # a plain list): the pure loop takes over for the
+                        # rest of this call.
                         hot = None
                     elif verdict == "idle":
                         # drive fired every pending timer already.

@@ -52,6 +52,7 @@ def test_backend_comparison_section(monkeypatch):
 
 def test_fallbacks_section_reports_drive_counters():
     from repro import run
+    from repro.detect.systematic import ScriptedChoices
     from repro.net.demo import loadgen_summary
     from repro.runtime._hotloop import drive_stats, get_fastops
 
@@ -89,6 +90,17 @@ def test_fallbacks_section_reports_drive_counters():
     assert section["drive"]["recorded"] == 9
     assert "trace events recorded 9" in rendered
     assert "(sleep " in rendered
+    assert section["drive"]["scripted"] == 0
+    assert "scripted 0 call(s)" in rendered
+    # A scripted rng stays compiled as well, drawing through its Python
+    # randrange: one call draws (main's), the drain finds nothing to pick.
+    run(napper, rng=ScriptedChoices([0, 0]))
+    section = bench.collect_runtime_fallbacks()
+    rendered = bench.render({"python": "3.11", "cpus": 1,
+                             "fallbacks": section})
+    assert section["drive"]["exits"]["ineligible"] == 0
+    assert section["drive"]["scripted"] == 1
+    assert "scripted 1 call(s)" in rendered
 
 
 def _doc(sps_fast, sps_traced, backend="tasklet"):
