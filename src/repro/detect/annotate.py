@@ -17,8 +17,8 @@ Every event between two picks carries the earlier pick's step (the
 scheduler only advances ``_steps`` at a pick), so the step bucketing is
 the same as attributing each event to the latest pick while the run is
 live; events before the first pick (main's ``GO_CREATE``) belong to no
-segment.  Reading the kept trace instead of subscribing a listener keeps
-explorer runs on the compiled loop (:mod:`repro.runtime._hotloop`).
+segment.  Reading the kept trace after the run keeps explorer runs on the
+compiled loop (:mod:`repro.runtime._hotloop`).
 
 Footprints drive the sleep-set pruning rule in
 :mod:`repro.detect.systematic`: two segments on different goroutines with
@@ -183,10 +183,10 @@ class ChoiceAnnotator:
 
     Pass in ``observers=[annotator]`` to :func:`repro.run` alongside the
     scripted ``rng``; read :attr:`picks` afterwards.  Attaching installs
-    the ``annotate_pick`` scheduler hook and makes sure the run keeps its
-    trace (turning event keeping on for a ``keep_trace=False`` run, whose
-    ``result.trace`` stays None); :meth:`finish` reads the footprints from
-    that trace.  No trace listener is subscribed.
+    the ``annotate_pick`` scheduler hook (chaining one already installed,
+    such as an :class:`repro.observe.Observer`'s) and turns event keeping
+    on (a ``keep_trace=False`` run's ``result.trace`` stays None);
+    :meth:`finish` reads the footprints from the kept trace.
     """
 
     def __init__(self) -> None:
@@ -202,11 +202,8 @@ class ChoiceAnnotator:
         sched = rt.sched
         self._sched = sched
         self._log = sched.rng.log
-        sched.annotate_pick = self._on_pick
-        trace = sched.trace
-        if not trace._keep_events:
-            trace._keep_events = True
-            trace.active = True
+        sched.trace.active = True
+        sched.add_pick_hook(self._on_pick)
 
     def finish(self, result: Any) -> None:
         # One pass groups the events by the step they carry; a step no pick

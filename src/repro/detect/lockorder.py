@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..runtime.trace import EventKind, TraceEvent
+from ..runtime.trace import EventKind, Trace, TraceEvent
 
 _REQUEST = {EventKind.MU_REQUEST, EventKind.RW_REQUEST}
 _ACQUIRE = {EventKind.MU_LOCK, EventKind.RW_LOCK}
@@ -63,15 +63,22 @@ class LockOrderDetector:
         self._held: Dict[int, List[int]] = {}  # gid -> stack of held locks
         self.violations: List[LockOrderViolation] = []
         self._finalized = False
+        self._trace: Optional[Trace] = None
 
     # ------------------------------------------------------------------
     # Observer protocol
     # ------------------------------------------------------------------
 
     def attach(self, rt) -> None:
-        rt.sched.trace.subscribe(self.on_event)
+        # Keep the run's events; finish() folds them in emission order.
+        self._trace = rt.sched.trace
+        self._trace.active = True
 
     def finish(self, result) -> None:
+        trace, self._trace = self._trace, None
+        if trace is not None:
+            for event in trace.events:
+                self.on_event(event)
         self.analyze()
         setattr(result, "lock_order_violations", list(self.violations))
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from ..runtime.trace import EventKind, TraceEvent
+from ..runtime.trace import EventKind, Trace, TraceEvent
 from .report import Access, RaceReport
 from .vectorclock import VectorClock
 
@@ -65,15 +65,22 @@ class RaceDetector:
         self._shadows: Dict[int, Deque[_Shadow]] = {}
         self._var_names: Dict[int, str] = {}
         self._reported_vars: Dict[int, int] = {}
+        self._trace: Optional[Trace] = None
 
     # ------------------------------------------------------------------
     # Observer protocol
     # ------------------------------------------------------------------
 
     def attach(self, rt) -> None:
-        rt.sched.trace.subscribe(self.on_event)
+        # Keep the run's events; finish() folds them in emission order.
+        self._trace = rt.sched.trace
+        self._trace.active = True
 
     def finish(self, result) -> None:
+        trace, self._trace = self._trace, None
+        if trace is not None:
+            for event in trace.events:
+                self.on_event(event)
         # Expose reports on the result for convenience.
         setattr(result, "races", list(self.reports))
 

@@ -1,9 +1,10 @@
 """The Observer: one attachable trace consumer that builds every view.
 
-Contract (the same one detectors follow, see DESIGN.md): the observer
-subscribes to the run's :class:`repro.runtime.trace.Trace` and two inert
-scheduler hooks (``on_step``, ``capture_sites``).  It never touches the
-RNG, the runnable set, or primitive state — attaching an observer is
+Contract (the same one detectors follow, see DESIGN.md): ``attach`` turns
+event keeping on for the run's :class:`repro.runtime.trace.Trace`, installs
+(or chains) the ``annotate_pick`` scheduler hook and sets the inert
+``capture_sites`` flag; ``finish`` folds the kept events.  It never touches
+the RNG, the runnable set, or primitive state — attaching an observer is
 guaranteed not to change the schedule, which the determinism tests assert
 bit-for-bit.
 
@@ -116,9 +117,10 @@ class Observer:
         self._last_gid: Optional[int] = None
         self._attached = False
         self._finished = False
+        self._sched: Optional[Any] = None
         self.result: Optional[Any] = None
 
-        # Hot-path instrument handles (bound once; ``_on_step`` runs every
+        # Hot-path instrument handles (bound once; ``_on_pick`` runs every
         # scheduler step and must not pay a registry lookup each time).
         self._steps_counter = self.metrics.counter("sched.steps")
         self._switch_counter = self.metrics.counter("sched.switches")
@@ -138,26 +140,22 @@ class Observer:
                 "per run so dumps stay a pure function of (program, seed)")
         self._attached = True
         sched = rt.sched
+        self._sched = sched
+        sched.trace.active = True
         if self.capture_sites:
             sched.capture_sites = True
-        prev = sched.on_step
-        if prev is None:
-            sched.on_step = self._on_step
-        else:  # chain politely with an already-installed hook
-            def chained(step: int, depth: int, gid: int) -> None:
-                prev(step, depth, gid)
-                self._on_step(step, depth, gid)
-            sched.on_step = chained
-        sched.trace.subscribe(self._on_event)
+        sched.add_pick_hook(self._on_pick)
 
     # ------------------------------------------------------------------
     # Scheduler hook
     # ------------------------------------------------------------------
 
-    def _on_step(self, step: int, depth: int, gid: int) -> None:
+    def _on_pick(self, runnable: List[Any], idx: int) -> None:
+        depth = len(runnable)
+        gid = runnable[idx].gid
         self._steps_counter.value += 1
         self._depth_hist.observe(depth)
-        self._depth_series.sample(step, depth)
+        self._depth_series.sample(self._sched._steps, depth)
         if self._last_gid is not None and gid != self._last_gid:
             self._switch_counter.value += 1
         self._last_gid = gid
@@ -268,11 +266,16 @@ class Observer:
     # ------------------------------------------------------------------
 
     def finish(self, result: Any) -> None:
-        """Close open spans against the end of the run and snapshot states."""
+        """Fold the kept trace, close open spans against the end of the run
+        and snapshot states."""
         if self._finished:
             return
         self._finished = True
         self.result = result
+        if self._sched is not None:
+            for event in self._sched.trace.events:
+                self._on_event(event)
+            self._sched = None
         end_step = result.steps
         end_time = result.end_time
         for gid in sorted(self._open):

@@ -21,16 +21,17 @@
  *     keeps stepping, so a timer-driven run enters the loop a handful of
  *     times instead of once per timer.  A "ready goroutine" timer (callback
  *     None) costs no Python call at all.  Only runs when nothing observable
- *     differs from the pure loop: no trace listener, no injector, no
- *     ``on_step`` hook and structured stop conditions.  Anything else
- *     returns None and the pure loop takes over.  The stock RNG (the C type
- *     above) is read directly; any other RNG — the systematic explorer's
- *     scripted choices — draws through ``sched._randrange(n)``, the bound
- *     method the pure ``_advance`` calls, and the result indexes the
- *     runnable list with list semantics.  When ``sched.annotate_pick`` is
- *     set it is called after the draw with ``(runnable, index)``, exactly
- *     where ``_advance`` calls it, with ``sched._steps`` already current.
- *     A kept trace is recorded in C: the events the pure loop emits itself
+ *     differs from the pure loop: a plain ``Trace``, no injector and
+ *     structured stop conditions.  Anything else returns None and the pure
+ *     loop takes over.  The stock RNG (the C type above) is read directly;
+ *     any other RNG — the systematic explorer's scripted choices — draws
+ *     through ``sched._randrange(n)``, the bound method the pure
+ *     ``_advance`` calls, and the result indexes the runnable list with
+ *     list semantics.  When ``sched.annotate_pick`` is set (the observer's
+ *     and the explorer's pick hook) it is called after the draw with
+ *     ``(runnable, index)``, exactly where ``_advance`` calls it, with
+ *     ``sched._steps`` already current.  An active trace is recorded in C:
+ *     the events the pure loop emits itself
  *     (go.end / go.panic, timer.fire + go.unblock for fired ready timers)
  *     are appended to ``trace._events`` as TraceEvents built through slot
  *     offsets, and ``sched._steps`` is written back before every switch so
@@ -388,8 +389,7 @@ static Py_ssize_t off_g_gid = -1;           /* Goroutine.gid */
 /* The trace recorder: trace.Trace / TraceEvent slot offsets, the EventKind
  * names the compiled code records, and the shared empty-info mapping. */
 static PyTypeObject *tr_type = NULL, *ev_type = NULL;
-static Py_ssize_t off_tr_events = -1, off_tr_listeners = -1,
-                  off_tr_keep = -1;
+static Py_ssize_t off_tr_events = -1, off_tr_active = -1;
 static Py_ssize_t off_ev_step = -1, off_ev_time = -1, off_ev_gid = -1,
                   off_ev_kind = -1, off_ev_obj = -1, off_ev_info = -1;
 static PyObject *k_go_end = NULL, *k_go_panic = NULL, *k_timer_fire = NULL,
@@ -412,7 +412,7 @@ static PyObject *v_stopped = NULL, *v_timeout = NULL, *v_steps = NULL,
 
 /* Shared with the fast ops below. */
 static PyObject *s_trace = NULL, *s_injector = NULL, *s_preempt = NULL,
-                *s_capture_sites = NULL, *s_on_step = NULL, *s_seq = NULL,
+                *s_capture_sites = NULL, *s_seq = NULL,
                 *s_duration = NULL, *s_reason = NULL, *r_time_sleep = NULL,
                 *long_zero = NULL;
 
@@ -460,8 +460,7 @@ bind_trace(PyObject *trace_mod)
         goto done;
     }
     if (member_offset(tr, "_events", &off_tr_events) < 0 ||
-        member_offset(tr, "_listeners", &off_tr_listeners) < 0 ||
-        member_offset(tr, "_keep_events", &off_tr_keep) < 0 ||
+        member_offset(tr, "active", &off_tr_active) < 0 ||
         member_offset(ev, "step", &off_ev_step) < 0 ||
         member_offset(ev, "time", &off_ev_time) < 0 ||
         member_offset(ev, "gid", &off_ev_gid) < 0 ||
@@ -655,8 +654,8 @@ goro_gid(PyObject *g)
     return gid;
 }
 
-/* The kept-trace recorder: what ``Scheduler.emit`` does when the trace has
- * no listener — one TraceEvent appended to ``trace._events``, its fields
+/* The kept-trace recorder: what ``Scheduler.emit`` does for an active plain
+ * Trace — one TraceEvent appended to ``trace._events``, its fields
  * stored through slot offsets (no __init__ call).  ``info`` NULL means the
  * shared empty mapping, as ``TraceEvent`` itself substitutes. */
 static int
@@ -680,10 +679,9 @@ rec_event(PyObject *events, PyObject *step, PyObject *time, PyObject *gid,
 }
 
 /* Probe ``sched.trace`` for the compiled paths: 1 when it is a plain Trace
- * with no listener, *events_out then holding a new reference to the kept
- * event list (NULL when the trace keeps nothing); 0 otherwise — a listener
- * sees every event as it happens, so the pure path must run — with any
- * probing error cleared. */
+ * whose ``active`` is a bool, *events_out then holding a new reference to
+ * the kept event list (NULL when not active); 0 otherwise — a Trace
+ * subclass may act on every emit, so the pure path must run. */
 static int
 trace_probe(PyObject *sched, PyObject **events_out)
 {
@@ -695,24 +693,16 @@ trace_probe(PyObject *sched, PyObject **events_out)
     }
     int ok = 0;
     if (Py_TYPE(trace) == tr_type) {
-        PyObject *listeners = slot_get(trace, off_tr_listeners);
-        PyObject *keep = slot_get(trace, off_tr_keep);
+        PyObject *active = slot_get(trace, off_tr_active);
         PyObject *events = slot_get(trace, off_tr_events);
-        if (listeners != NULL && PyList_CheckExact(listeners) &&
-            PyList_GET_SIZE(listeners) == 0 && keep != NULL) {
-            int k = keep == Py_True ? 1 : keep == Py_False ? 0
-                                        : PyObject_IsTrue(keep);
-            if (k == 0) {
-                ok = 1;
-            }
-            else if (k > 0 && events != NULL && PyList_CheckExact(events)) {
-                Py_INCREF(events);
-                *events_out = events;
-                ok = 1;
-            }
-            else {
-                PyErr_Clear();
-            }
+        if (active == Py_False) {
+            ok = 1;
+        }
+        else if (active == Py_True && events != NULL &&
+                 PyList_CheckExact(events)) {
+            Py_INCREF(events);
+            *events_out = events;
+            ok = 1;
         }
     }
     Py_DECREF(trace);
@@ -1379,8 +1369,8 @@ fail_entry:
 /* send/recv (buffered and rendezvous), try_send/try_recv, select      */
 /* readiness + commit, Mutex, RWMutex and time.Sleep.  Each op         */
 /* re-checks engagement at entry — no injector, a current goroutine,   */
-/* and no trace listener; a kept trace is recorded in C by sleep,      */
-/* while the channel/select/sync ops still need the trace inactive —   */
+/* and a plain Trace; a kept trace is recorded in C by sleep, while    */
+/* the channel/select/sync ops still need the trace inactive —         */
 /* and returns NotImplemented to defer to the pure path otherwise.     */
 /* All bail-outs happen BEFORE the op's entry schedule point so an op  */
 /* is either entirely compiled or entirely pure; the observable        */
@@ -1393,7 +1383,7 @@ static PyTypeObject *fo_chan = NULL, *fo_waiter = NULL, *fo_selctx = NULL,
                     *fo_sendcase = NULL, *fo_recvcase = NULL,
                     *fo_mutex = NULL, *fo_mu_ticket = NULL,
                     *fo_rwmutex = NULL, *fo_rw_ticket = NULL,
-                    *fo_trace = NULL, *fo_goro = NULL;
+                    *fo_goro = NULL;
 static PyObject *fo_gopanic = NULL, *fo_killed = NULL;
 static PyObject *dq_popleft_m = NULL, *dq_append_m = NULL, *dq_remove_m = NULL;
 static PyObject *st_blocked = NULL;
@@ -1424,7 +1414,6 @@ static Py_ssize_t off_rwtix_goroutine = -1, off_rwtix_granted = -1;
 static Py_ssize_t off_g_blockreason = -1, off_g_external = -1,
                   off_g_pending = -1, off_g_killed = -1;
 static Py_ssize_t off_tkg_hub = -1;
-static Py_ssize_t off_trace_active = -1;
 
 static PyObject *s_yield = NULL, *r_select = NULL;
 static PyObject *msg_send_closed = NULL, *msg_mu_unlock = NULL,
@@ -1983,8 +1972,8 @@ fo_enter(PyObject *sched, PyObject **me_out)
         PyErr_Clear();
         return 0;
     }
-    int traced = (Py_TYPE(trace) != fo_trace ||
-                  slot_get(trace, off_trace_active) != Py_False);
+    int traced = (Py_TYPE(trace) != tr_type ||
+                  slot_get(trace, off_tr_active) != Py_False);
     Py_DECREF(trace);
     if (traced)
         return 0;
@@ -2863,7 +2852,7 @@ attr_is(PyObject *obj, PyObject *name, PyObject *expect)
 }
 
 /* Scheduler.emit(kind, info=info) from the running goroutine ``me``, for a
- * kept trace with no listener. */
+ * kept plain trace. */
 static int
 sleep_record(PyObject *sched, PyObject *events, PyObject *now, PyObject *me,
              PyObject *kind, PyObject *key, PyObject *value)
@@ -2956,9 +2945,9 @@ done:
  * until it has fired, re-blocking after a spurious wakeup.  Unlike the ops
  * above this one runs under a kept trace: it records its own time.sleep
  * and go.block events.  It bails before anything observable when an
- * injector, a trace listener, an observe hook (capture_sites, on_step) or
- * a missing goroutine context needs the pure path, or the duration is not
- * an exact int or float. */
+ * injector, a Trace subclass, ``capture_sites`` (go.block would need the
+ * user stack) or a missing goroutine context needs the pure path, or the
+ * duration is not an exact int or float. */
 static PyObject *
 fo_sleep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -2972,8 +2961,7 @@ fo_sleep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     PyObject *events = NULL;
     if (!trace_probe(sched, &events))
         FO_BAIL(OP_SLEEP);
-    if (!attr_is(sched, s_capture_sites, Py_False) ||
-        !attr_is(sched, s_on_step, Py_None)) {
+    if (!attr_is(sched, s_capture_sites, Py_False)) {
         Py_XDECREF(events);
         FO_BAIL(OP_SLEEP);
     }
@@ -3205,12 +3193,12 @@ hl_bind_fastops(PyObject *module, PyObject *args)
 {
     PyObject *chan_cls, *waiter_cls, *selctx_cls, *sendcase_cls,
              *recvcase_cls, *mutex_cls, *mu_ticket_cls, *rwmutex_cls,
-             *rw_ticket_cls, *trace_cls, *goro_cls, *tk_goro_cls,
+             *rw_ticket_cls, *goro_cls, *tk_goro_cls,
              *gstate_cls, *gopanic_exc, *killed_exc, *deque_cls;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOOOOO",
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOOOO",
                           &chan_cls, &waiter_cls, &selctx_cls, &sendcase_cls,
                           &recvcase_cls, &mutex_cls, &mu_ticket_cls,
-                          &rwmutex_cls, &rw_ticket_cls, &trace_cls,
+                          &rwmutex_cls, &rw_ticket_cls,
                           &goro_cls, &tk_goro_cls, &gstate_cls,
                           &gopanic_exc, &killed_exc, &deque_cls))
         return NULL;
@@ -3264,7 +3252,6 @@ hl_bind_fastops(PyObject *module, PyObject *args)
     OFFSET(rwmutex_cls, "_reason_w", off_rw_reason_w);
     OFFSET(rw_ticket_cls, "goroutine", off_rwtix_goroutine);
     OFFSET(rw_ticket_cls, "granted", off_rwtix_granted);
-    OFFSET(trace_cls, "active", off_trace_active);
     OFFSET(goro_cls, "block_reason", off_g_blockreason);
     OFFSET(goro_cls, "external", off_g_external);
     OFFSET(goro_cls, "pending_error", off_g_pending);
@@ -3290,7 +3277,6 @@ hl_bind_fastops(PyObject *module, PyObject *args)
     STORE_TYPE(fo_mu_ticket, mu_ticket_cls);
     STORE_TYPE(fo_rwmutex, rwmutex_cls);
     STORE_TYPE(fo_rw_ticket, rw_ticket_cls);
-    STORE_TYPE(fo_trace, trace_cls);
     STORE_TYPE(fo_goro, goro_cls);
 #undef STORE_TYPE
 
@@ -3339,7 +3325,7 @@ static PyMethodDef hl_methods[] = {
      "'recorded': n, 'scripted': n}."},
     {"bind_fastops", hl_bind_fastops, METH_VARARGS,
      "bind_fastops(Channel, _Waiter, _SelectContext, SendCase, RecvCase, "
-     "Mutex, MutexTicket, RWMutex, RWTicket, Trace, Goroutine, "
+     "Mutex, MutexTicket, RWMutex, RWTicket, Goroutine, "
      "TaskletGoroutine, GState, GoPanic, Killed, deque): cache the slot "
      "offsets and classes the channel/select/sync fast ops need."},
     {"chan_send", (PyCFunction)fo_chan_send, METH_FASTCALL,
@@ -3443,7 +3429,6 @@ PyInit__hotloop(void)
     INTERN(s_yield, "yield_to_scheduler");
     INTERN(r_select, "select");
     INTERN(s_capture_sites, "capture_sites");
-    INTERN(s_on_step, "on_step");
     INTERN(s_seq, "_seq");
     INTERN(s_duration, "duration");
     INTERN(s_reason, "reason");

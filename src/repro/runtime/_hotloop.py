@@ -13,10 +13,10 @@ three behind one stable surface:
   run gets never changes a schedule.
 * :func:`get_drive` — the fused per-step scheduler loop (compiled only).
   Returns ``None`` when unavailable; the scheduler then runs its pure loop.
-  The compiled loop engages only when nothing observable differs: no trace
-  listener (a kept trace is recorded in C), no fault injector, no
-  ``on_step`` hook and structured stop conditions (see
-  ``Scheduler.run_until_quiescent``).  Any RNG works: the stock one is
+  The compiled loop engages only when nothing observable differs: no fault
+  injector and structured stop conditions (see
+  ``Scheduler.run_until_quiescent``); a kept trace is recorded in C, and
+  trace consumers fold it after the run.  Any RNG works: the stock one is
   read directly, any other (the systematic explorer's scripted choices)
   draws through ``Scheduler._randrange``, and the ``annotate_pick`` hook
   is called after each draw, as in the pure loop.  It also fires the
@@ -108,10 +108,10 @@ def get_fastops() -> Optional[Any]:
     Returns the extension module itself (``chan_send``, ``chan_recv``,
     ``select_op``, ``mutex_lock``, ``sleep``, ... live on it); every op
     re-checks engagement per call and returns ``NotImplemented`` to defer
-    to the pure primitive whenever a trace listener, fault injector or
-    missing goroutine context makes the pure path observable.  A kept
-    trace is recorded in C by ``sleep``; the channel/select/sync ops still
-    defer to the pure path under any active trace.  First call binds the
+    to the pure primitive whenever a fault injector or missing goroutine
+    context makes the pure path observable.  A kept trace is recorded in C
+    by ``sleep``; the channel/select/sync ops still defer to the pure path
+    under any active trace.  First call binds the
     primitive classes' slot offsets into the extension.
     """
     global _fastops, _fastops_resolved
@@ -129,13 +129,11 @@ def get_fastops() -> Optional[Any]:
                 from ..sync.rwmutex import RWMutex, _Ticket as _RWTicket
                 from .errors import GoPanic, Killed
                 from .goroutine import Goroutine, GState, TaskletGoroutine
-                from .trace import Trace
 
                 _c.bind_fastops(
                     Channel, _Waiter, _SelectContext, SendCase, RecvCase,
-                    Mutex, _MuTicket, RWMutex, _RWTicket, Trace,
-                    Goroutine, TaskletGoroutine, GState, GoPanic, Killed,
-                    deque,
+                    Mutex, _MuTicket, RWMutex, _RWTicket, Goroutine,
+                    TaskletGoroutine, GState, GoPanic, Killed, deque,
                 )
                 _fastops = _c
             except Exception:  # pragma: no cover - defensive: stay pure

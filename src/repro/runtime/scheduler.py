@@ -13,9 +13,9 @@ system's effective speed, the per-step path here is deliberately lean:
 
 * scheduling randomness comes from :class:`repro.runtime.fastrand.BatchedRandom`
   (bit-identical to ``random.Random``, a fraction of the call overhead);
-* trace events are only *allocated* when someone will see them — a kept
-  trace or a subscribed listener (``Trace.active``); a ``keep_trace=False``
-  run with no detectors pays one attribute check per would-be event;
+* trace events are only *allocated* when they are kept (``Trace.active``);
+  a ``keep_trace=False`` run with no detectors pays one attribute check per
+  would-be event;
 * ``user_stack()`` walks only happen under ``capture_sites`` (profiling).
 """
 
@@ -262,17 +262,14 @@ class Scheduler:
         self.injector: Optional[Any] = None
         #: Join bound handed to :meth:`Goroutine.kill` during teardown.
         self.host_join_timeout: Optional[float] = None
-        #: Observability hooks (:mod:`repro.observe`).  When ``capture_sites``
-        #: is on, every GO_BLOCK event carries the user call-site stack; the
-        #: ``on_step`` callback sees ``(step, runnable_depth, gid)`` for each
-        #: scheduling decision.  Both are inert by default: one flag test and
-        #: one None check per step when nothing is attached.
+        #: Observability hook (:mod:`repro.observe`): when on, every
+        #: GO_BLOCK event carries the user call-site stack.  Inert by
+        #: default (one flag test per block).
         self.capture_sites = False
-        self.on_step: Optional[Callable[[int, int, int], None]] = None
-        #: Exploration hook (:mod:`repro.detect.annotate`): sees the full
-        #: runnable list and the chosen index for every scheduling decision,
-        #: so the systematic explorer can learn which goroutines each choice
-        #: point offered.  Inert by default (one None check per step).
+        #: Pick hook (see :meth:`add_pick_hook`): sees the full runnable
+        #: list and the chosen index for every scheduling decision, with
+        #: ``_steps`` already counting it.  Inert by default (one None check
+        #: per step).
         self.annotate_pick: Optional[Callable[[List[Goroutine], int], None]] = None
 
     # ------------------------------------------------------------------
@@ -335,7 +332,7 @@ class Scheduler:
         """Append a trace event attributed to the running goroutine.
 
         Fast path: when nobody consumes events (``keep_trace=False`` and no
-        subscribed detector/observer) the event object is never allocated.
+        attached detector/observer) the event object is never allocated.
         """
         trace = self.trace
         if not trace.active:
@@ -350,6 +347,20 @@ class Scheduler:
                 info=info,
             )
         )
+
+    def add_pick_hook(self, hook: Callable[[List[Goroutine], int], None]
+                      ) -> None:
+        """Install ``hook`` as :attr:`annotate_pick`, called after any hook
+        already installed (the observer and the explorer's annotator can
+        share one run)."""
+        prev = self.annotate_pick
+        if prev is None:
+            self.annotate_pick = hook
+        else:
+            def chained(runnable: List[Goroutine], idx: int) -> None:
+                prev(runnable, idx)
+                hook(runnable, idx)
+            self.annotate_pick = chained
 
     # ------------------------------------------------------------------
     # Goroutine management
@@ -506,19 +517,16 @@ class Scheduler:
         self._main_verdict = None
         # The compiled fused loop stands in for the whole per-step body
         # below — timer firing included — whenever nothing observable
-        # differs from the pure path: a structured stop condition, no trace
-        # listener (a kept trace is recorded in C), no injector and no
-        # ``on_step`` hook.  Any RNG and the ``annotate_pick`` hook are
-        # fine: drive reads the stock RNG directly, calls ``_randrange``
-        # for any other (the explorer's scripted choices), and calls the
-        # pick hook where ``_advance`` does.
+        # differs from the pure path: a structured stop condition and no
+        # injector.  A kept trace is recorded in C; any RNG and the
+        # ``annotate_pick`` hook are fine: drive reads the stock RNG
+        # directly, calls ``_randrange`` for any other (the explorer's
+        # scripted choices), and calls the pick hook where ``_advance``
+        # does.
         hot = self._hot if stop_mode is not None else None
         try:
             while True:
-                if (hot is not None and self.injector is None
-                        and self.on_step is None
-                        and not self.trace._listeners
-                        and not self.capture_sites):
+                if hot is not None and self.injector is None:
                     verdict = hot(self, advance_clock)
                     if verdict is None:
                         # Static mismatch (e.g. a runnable set that is not
@@ -587,8 +595,6 @@ class Scheduler:
                 g = runnable[idx]
                 if self.annotate_pick is not None:
                     self.annotate_pick(runnable, idx)
-                if self.on_step is not None:
-                    self.on_step(self._steps, len(runnable), g.gid)
                 return g
             # No runnable goroutine: the caller fires timers or declares
             # the run quiescent.

@@ -8,7 +8,7 @@ into scheduler internals.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 
 class EventKind:
@@ -115,36 +115,23 @@ class TraceEvent:
 
 
 class Trace:
-    """An append-only event log with optional live listeners.
+    """An append-only event log.  Consumers (detectors, the observer) set
+    ``active`` when they attach and fold :attr:`events` after the run."""
 
-    Listeners (detectors) are invoked synchronously as events are emitted so
-    they observe the exact interleaving order.
-    """
-
-    # Slotted so the compiled fast ops can probe ``active`` by slot offset
-    # (and exact type) instead of a dict lookup on every channel operation.
-    __slots__ = ("_events", "_listeners", "_keep_events", "active")
+    # Slotted so the compiled paths can probe ``active`` and append to
+    # ``_events`` by slot offset (and exact type), not a dict lookup.
+    __slots__ = ("_events", "active")
 
     def __init__(self, keep_events: bool = True):
         self._events: List[TraceEvent] = []
-        self._listeners: List[Callable[[TraceEvent], None]] = []
-        self._keep_events = keep_events
-        #: True when emitting an event has any consumer (the kept log or a
-        #: listener).  The scheduler checks this before *allocating* events,
-        #: so an unobserved ``keep_trace=False`` run skips the whole
-        #: trace layer at the cost of one attribute read per event site.
+        #: True when events are kept.  The scheduler checks this before
+        #: *allocating* events, so an unobserved ``keep_trace=False`` run
+        #: skips the whole trace layer at the cost of one attribute read
+        #: per event site.
         self.active = keep_events
 
-    def subscribe(self, listener: Callable[[TraceEvent], None]) -> None:
-        """Register a callback invoked for every subsequent event."""
-        self._listeners.append(listener)
-        self.active = True
-
     def emit(self, event: TraceEvent) -> None:
-        if self._keep_events:
-            self._events.append(event)
-        for listener in self._listeners:
-            listener(event)
+        self._events.append(event)
 
     @property
     def events(self) -> List[TraceEvent]:

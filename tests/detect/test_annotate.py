@@ -2,13 +2,12 @@
 
 ``ChoiceAnnotator`` records each pick (with the scheduler step it opens)
 through the ``annotate_pick`` hook and, after the run, groups the kept
-trace's events by step and reduces each pick's group to its footprint.
-No listener is subscribed, so an annotated run stays on the compiled
-``drive()`` loop.
+trace's events by step and reduces each pick's group to its footprint, so
+an annotated run stays on the compiled ``drive()`` loop.
 These tests pin the resulting :class:`PickAnnotation` lists three ways:
 compiled vs ``force_pure()``, and against a test-local annotator that
 buckets events *live* — each event into the latest pick's segment as it
-is emitted — which is the listener semantics the step bucketing replaced.
+is emitted — which is the semantics the step bucketing must equal.
 
 Without the extension the compiled side is pure as well.
 """
@@ -19,18 +18,36 @@ from repro import run
 from repro.bugs import registry
 from repro.detect.annotate import ChoiceAnnotator, PickAnnotation, _footprint
 from repro.detect.systematic import ScriptedChoices
+from repro.observe import Observer
 from repro.runtime._hotloop import drive_stats, force_pure, get_drive
 from repro.runtime.runtime import Runtime
 from repro.runtime.scheduler import Scheduler
+from repro.runtime.trace import Trace
 
 ENGAGED = get_drive() is not None
 
 PREFIXES = ([], [1], [1, 0, 1])
 
 
+class LiveTrace(Trace):
+    """A trace that also hands each event to ``on_event`` as it is
+    emitted.  Not the exact ``Trace`` type, so the compiled loop and fast
+    ops never take a run that uses it: the reference stays pure."""
+
+    __slots__ = ("on_event",)
+
+    def __init__(self, on_event):
+        super().__init__()
+        self.on_event = on_event
+
+    def emit(self, event):
+        super().emit(event)
+        self.on_event(event)
+
+
 class LiveAnnotator:
-    """Reference: a trace listener adding each event to the segment of
-    the latest pick while the run is live (it keeps the run pure)."""
+    """Reference: adds each event to the segment of the latest pick
+    while the run is live, through a :class:`LiveTrace`."""
 
     def __init__(self):
         self.picks = []
@@ -49,7 +66,7 @@ class LiveAnnotator:
                 self._segments[-1][3].append(event)
 
         sched.annotate_pick = on_pick
-        sched.trace.subscribe(on_event)
+        sched.trace = LiveTrace(on_event)
 
     def finish(self, result):
         self.picks = [
@@ -226,3 +243,20 @@ def test_untraced_run_yields_the_same_picks(program):
         # Event keeping was turned on for the annotator, so the loop
         # recorded the trace it read.
         assert stats["recorded"] > 0
+
+
+@pytest.mark.parametrize("observer_first", [True, False])
+def test_pick_hook_chains_with_an_observer(observer_first):
+    """The annotator and the Observer share the pick hook: neither may
+    silence the other, whichever attaches first."""
+    alone = _annotated(held_at_teardown, [1])
+    annotator, observer = ChoiceAnnotator(), Observer()
+    if observer_first:
+        kwargs = dict(observers=[annotator], observe=observer)
+    else:
+        kwargs = dict(observers=[annotator, observer])
+    result = run(held_at_teardown, rng=ScriptedChoices([1]), **kwargs)
+    metrics = observer.to_dict()["metrics"]
+    assert metrics["sched.steps"]["value"] == result.steps > 0
+    assert metrics["sched.runnable_depth"]["count"] == result.steps
+    assert annotator.picks == alone[0]

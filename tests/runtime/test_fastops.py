@@ -2,17 +2,16 @@
 
 ``repro.runtime._ext._hotloop`` executes channel send/recv, buffered try
 ops, ``select``, and Mutex/RWMutex acquire/release inline in C whenever
-nothing observable differs — no live trace consumer, no fault injector,
-and a real goroutine holding the token.  Everything else returns
+nothing observable differs — no kept trace, no fault injector, and a
+real goroutine holding the token.  Everything else returns
 ``NotImplemented`` and the pure primitive runs instead.  These tests pin
 the contract from both sides:
 
 * engaged runs (traceless, compiled) take byte-for-byte the same
   schedules — steps, statuses, results, RNG draws — as the same seeds
   under :class:`repro.runtime._hotloop.force_pure`;
-* every disqualifier (kept trace, subscribed listener, fault injector)
-  actually bails the ops out, visibly in ``fastops_stats``, without
-  changing the schedule;
+* every disqualifier (kept trace, fault injector) actually bails the
+  ops out, visibly in ``fastops_stats``, without changing the schedule;
 * error paths (send on closed, unlock of unlocked, select on a closed
   send case) panic identically in both modes;
 * a ``REPRO_NO_CEXT=1`` subprocess — no extension at all — reproduces
@@ -129,25 +128,6 @@ def test_kept_trace_bails_every_op():
     assert stats["bailed"]["recv"] > 0
     fast = run(CHANNEL_WORKLOADS["pingpong_heavy"], seed=1, keep_trace=False)
     assert _signature(traced) == _signature(fast)
-
-
-@needs_fastops
-def test_subscribed_listener_bails_even_without_kept_events():
-    """keep_trace=False but a live listener: still observable, still pure."""
-    seen = []
-
-    class Listener:
-        def attach(self, rt):
-            rt.sched.trace.subscribe(seen.append)
-
-    program = CHANNEL_WORKLOADS["pingpong_heavy"]
-    _reset_stats()
-    hooked = run(program, seed=1, keep_trace=False, observers=[Listener()])
-    stats = _stats()
-    assert sum(stats["engaged"].values()) == 0, stats
-    assert seen, "listener saw no events"
-    plain = run(program, seed=1, keep_trace=False)
-    assert _signature(hooked) == _signature(plain)
 
 
 @needs_fastops

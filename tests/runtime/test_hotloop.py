@@ -134,17 +134,22 @@ def test_pure_python_subprocess_matches_compiled_process():
 
 
 @needs_compiled
-def test_hot_loop_disabled_by_observers_without_changing_results():
-    """Hooks force the pure loop; the schedule must not notice."""
+def test_hot_loop_runs_pick_hooks_without_changing_results():
+    """The compiled loop calls the pick hook once per step; the schedule
+    must not notice."""
     program = WORKLOADS["spin"]
     plain = run(program, seed=4, keep_trace=False)
     seen = []
 
-    class StepHook:
+    class PickHook:
         def attach(self, rt):
-            rt.sched.on_step = lambda step, depth, gid: seen.append(gid)
+            rt.sched.add_pick_hook(
+                lambda runnable, idx: seen.append(runnable[idx].gid))
 
-    hooked = run(program, seed=4, keep_trace=False, observers=[StepHook()])
+    _hotloop.drive_stats(True)
+    hooked = run(program, seed=4, keep_trace=False, observers=[PickHook()])
+    stats = _hotloop.drive_stats(True)
+    assert stats["calls"] > 0 and stats["exits"]["ineligible"] == 0
     assert hooked.status == plain.status
     assert hooked.steps == plain.steps
     assert len(seen) == hooked.steps

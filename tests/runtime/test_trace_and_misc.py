@@ -5,7 +5,6 @@ import pytest
 from repro import EventKind, GoPanic, run
 from repro.runtime.errors import SchedulerStateError
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.trace import Trace, TraceEvent
 
 
 def test_trace_records_ordered_steps():
@@ -55,15 +54,6 @@ def test_send_events_carry_sequence_and_sync_info():
 def test_keep_trace_false_skips_recording():
     result = run(lambda rt: rt.make_chan(1).send(1), keep_trace=False)
     assert result.trace is None
-
-
-def test_trace_listener_sees_live_events():
-    seen = []
-    trace = Trace()
-    trace.subscribe(seen.append)
-    event = TraceEvent(step=1, time=0.0, gid=1, kind="x")
-    trace.emit(event)
-    assert seen == [event]
 
 
 def test_scheduler_current_outside_run_raises():

@@ -1,6 +1,6 @@
 """Kept traces recorded by the compiled loop and the compiled ``sleep``.
 
-With a kept trace and no listener, ``Scheduler.run_until_quiescent``
+With a kept trace and no injector, ``Scheduler.run_until_quiescent``
 enters the compiled ``drive()``, which appends the events the pure loop
 emits itself (go.end / go.panic, timer.fire + go.unblock) to the trace,
 and ``Runtime.sleep`` dispatches to the compiled ``sleep`` op, which
@@ -8,7 +8,8 @@ records time.sleep / go.block.  These tests pin the recorded stream to
 the pure one event by event — ``(step, repr(time), gid, kind, obj,
 info)``, not just the schedule digest — and check both sides of the
 engagement contract: a kept-trace run really takes the compiled paths,
-and a run with a listener, an injector or an observe hook never does.
+so does a run whose detector folds the trace or that captures block
+sites, and a run with an injector never does.
 
 Without the extension the parity tests compare pure with pure and the
 engagement tests skip.
@@ -252,34 +253,49 @@ def test_kept_trace_run_stays_compiled():
     assert engaged == 16 and bailed == 0
 
 
-def _rt_with(hook):
+def _capturing_sites():
     sched = Scheduler(seed=0, keep_trace=True)
     rt = Runtime(sched)
-    hook(sched)
+    sched.capture_sites = True
     main_g = sched.spawn(sleepers, (rt,), name="main")
     sched.run_until_quiescent(stop_mode=("main", main_g))
     sched.kill_all()
-    return main_g.result
+    return main_g.result, _events(sched.trace)
+
+
+def _detected():
+    detector = RaceDetector()
+    result = run(sleepers, seed=0, observers=[detector])
+    return _outcome(result), detector.reports, detector.final_clocks()
 
 
 @needs_compiled
-@pytest.mark.parametrize("case", ["listener", "injector", "capture_sites",
-                                  "on_step"])
-def test_observed_runs_never_enter_drive(case):
+@pytest.mark.parametrize("case", ["detector", "capture_sites"])
+def test_observed_runs_enter_drive(case):
+    observed = _detected if case == "detector" else _capturing_sites
     _reset()
-    if case == "listener":
-        result = run(sleepers, seed=0, observers=[RaceDetector()]).main_result
-    elif case == "injector":
-        result = run(sleepers, seed=0,
-                     inject=plans.delay_storm(every=1000)).main_result
-    elif case == "capture_sites":
-        result = _rt_with(lambda s: setattr(s, "capture_sites", True))
-    else:
-        result = _rt_with(lambda s: setattr(s, "on_step",
-                                            lambda *args: None))
+    result = observed()
     stats = drive_stats(True)
     engaged, bailed = _sleep_stats()
-    assert len(result) == 16
+    with force_pure():
+        assert observed() == result
+    assert stats["calls"] > 0 and stats["exits"]["ineligible"] == 0
+    assert stats["recorded"] > 0
+    if case == "detector":
+        assert engaged == 16 and bailed == 0
+    else:
+        # go.block needs the user stack, which the compiled sleep does
+        # not take: every sleep runs pure inside the compiled loop.
+        assert engaged == 0 and bailed == 16
+
+
+@needs_compiled
+def test_injected_runs_never_enter_drive():
+    _reset()
+    result = run(sleepers, seed=0, inject=plans.delay_storm(every=1000))
+    stats = drive_stats(True)
+    engaged, bailed = _sleep_stats()
+    assert len(result.main_result) == 16
     assert stats["calls"] == 0 and stats["recorded"] == 0
     assert engaged == 0 and bailed == 16
 
