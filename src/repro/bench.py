@@ -57,7 +57,9 @@ from .runtime.runtime import run
 #: since: ``fallbacks`` carries ``drive`` (the compiled step loop's calls,
 #: exits by verdict, timers fired inside it, trace events recorded from
 #: C and calls that drew through a Python ``randrange``, from
-#: ``drive_stats``), and ``fastops`` a ``sleep`` kind.
+#: ``drive_stats``; its exits count a fault injector's ``horizon`` apart
+#: from the run's own ``steps``/``timeout``), and ``fastops`` a ``sleep``
+#: kind and ``reasons`` (bails by the first engagement check that failed).
 SCHEMA = 4
 
 
@@ -492,17 +494,19 @@ def collect_runtime_fallbacks() -> Dict[str, Any]:
     hides them: backend fallbacks (a requested vehicle that was
     unavailable, counted per ``requested->used`` edge; the warning itself
     fires only once per process), the compiled fast-op engage/bail
-    counters accumulated since the last reset — a run that bailed every
-    op is a run measured on the pure path — and the compiled step loop's
-    own counters (``drive``: calls, exits by verdict, timers fired inside
-    the loop; empty without the extension).
+    counters accumulated since the last reset, with the bails split by
+    the first engagement check that failed — a run that bailed every op
+    is a run measured on the pure path — and the compiled step loop's own
+    counters (``drive``: calls, exits by verdict with the returns at a
+    fault injector's horizon apart, timers fired inside the loop; empty
+    without the extension).
     """
     from .runtime._hotloop import drive_stats, get_fastops
     from .runtime.scheduler import backend_fallbacks
 
     fast = get_fastops()
     stats = (fast.fastops_stats() if fast is not None
-             else {"engaged": {}, "bailed": {}})
+             else {"engaged": {}, "bailed": {}, "reasons": {}})
     return {
         "backend_fallbacks": backend_fallbacks(),
         "fastops": stats,
@@ -1160,6 +1164,11 @@ def render(document: Dict[str, Any]) -> str:
                               in sorted(edges.items())) or "none")
         bail_text = (" ".join(f"{op}:{n}" for op, n
                               in sorted(bailed.items())) or "none")
+        reasons = fb["fastops"].get("reasons", {})
+        reason_text = " ".join(f"{why}:{n}" for why, n
+                               in sorted(reasons.items()) if n)
+        if reason_text:
+            bail_text += f" (first failing check {reason_text})"
         lines.append(f"fallbacks: backend {edge_text}; fast ops engaged "
                      f"{engaged:,} (sleep {engaged_by_op.get('sleep', 0):,}),"
                      f" bailed {bail_text}")

@@ -1,11 +1,17 @@
 """The fault injector: executes a :class:`FaultPlan` at scheduling points.
 
-The injector is pulsed by the scheduler once per loop iteration — i.e. at
-exactly the points where scheduling decisions already happen — and never
-from goroutine context.  All of its randomness (probability gates, victim
-choice) comes from one RNG seeded from ``(run seed, plan fingerprint)``, so
-a chaos run is a pure function of ``(program, seed, plan)`` and any failure
-it uncovers replays exactly.
+The injector is pulsed by the scheduler at scheduling points — the points
+where scheduling decisions already happen — and never from goroutine
+context.  It is pulsed only where a fault can be due:
+:meth:`FaultInjector.horizon` tells the scheduler how many steps and how
+much virtual time may pass before any fault can become due, the compiled
+step loop runs up to there, and the pure loop pulses at that one point.
+Because a pulse that finds no fault due does nothing, skipping those
+pulses leaves every run unchanged.
+All of its randomness (probability gates, victim choice) comes from one RNG
+seeded from ``(run seed, plan fingerprint)``, so a chaos run is a pure
+function of ``(program, seed, plan)`` and any failure it uncovers replays
+exactly.
 
 Fault semantics (see :data:`repro.inject.plan.ACTIONS`):
 
@@ -26,7 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..runtime.errors import GoPanic
 from ..runtime.goroutine import GState
@@ -121,6 +127,47 @@ class FaultInjector:
                 self._consume(index, fault)
                 acted = True
         return acted
+
+    def horizon(self, sched: "Scheduler"
+                ) -> Optional[Tuple[Optional[int], Optional[float]]]:
+        """How far the scheduler may run before a pulse can fire anything.
+
+        ``None`` when an unconsumed fault is due now — including one that
+        was due but found no victim, which is retried at every scheduling
+        point.  Otherwise ``(step, time)``: until ``sched.steps`` reaches
+        ``step`` or the clock reaches ``time``, :meth:`_due` is false for
+        every fault, so the pulses in between are no-ops.  A bound is
+        ``None`` when no fault limits it.  Exact, because :meth:`_due`
+        reads only the fault's remaining count, ``sched.steps``, the clock
+        and the fault's last pulsed epoch.
+        """
+        steps = sched.steps
+        now = sched.clock.now
+        step_bound: Optional[int] = None
+        time_bound: Optional[float] = None
+        for index, fault in enumerate(self.plan.faults):
+            remaining = self._remaining[index]
+            if remaining is not None and remaining <= 0:
+                continue
+            if fault.every is not None:
+                boundary = (self._last_epoch[index] + 1) * fault.every
+                if steps >= boundary:
+                    return None
+                if step_bound is None or boundary < step_bound:
+                    step_bound = boundary
+                continue
+            pending = False
+            if fault.at_step is not None and steps < fault.at_step:
+                pending = True
+                if step_bound is None or fault.at_step < step_bound:
+                    step_bound = fault.at_step
+            if fault.after_time is not None and now < fault.after_time:
+                pending = True
+                if time_bound is None or fault.after_time < time_bound:
+                    time_bound = fault.after_time
+            if not pending:
+                return None
+        return step_bound, time_bound
 
     # ------------------------------------------------------------------
     # Trigger logic

@@ -9,7 +9,8 @@ Two hand-written CPython extensions live here:
 
 Both are compiled lazily with the system C compiler on first import and
 cached next to the sources (or under ``REPRO_EXT_CACHE`` when the tree is
-read-only).  Everything is gated: when the toolchain, platform, or Python
+read-only).  A build removes the cached builds of older versions of its
+source.  Everything is gated: when the toolchain, platform, or Python
 version doesn't match, the accessors return ``None`` and callers fall back
 to pure-Python implementations with identical observable behaviour.
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import sysconfig
@@ -120,7 +122,29 @@ def _compile(name: str) -> Optional[str]:
         os.replace(tmp, so)  # atomic: concurrent builders race harmlessly
     except OSError:
         return None
+    _prune_stale(name, so)
     return so
+
+
+def _prune_stale(name: str, so: str) -> None:
+    """Best-effort: unlink the cached ``<name>.<sha12>.*.so`` builds of
+    other source versions next to the fresh build ``so``.  Every source
+    edit otherwise leaves its old build in the cache for good."""
+    directory, fresh = os.path.split(so)
+    digest = fresh.split(".")[1]
+    pattern = re.compile(re.escape(name) + r"\.([0-9a-f]{12})\..*\.so$")
+    try:
+        entries = os.listdir(directory)
+    except OSError:
+        return
+    for entry in entries:
+        match = pattern.match(entry)
+        if match is None or match.group(1) == digest:
+            continue
+        try:
+            os.unlink(os.path.join(directory, entry))
+        except OSError:
+            pass
 
 
 def _import_so(name: str, so: str) -> Optional[types.ModuleType]:

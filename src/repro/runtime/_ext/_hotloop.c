@@ -21,9 +21,13 @@
  *     keeps stepping, so a timer-driven run enters the loop a handful of
  *     times instead of once per timer.  A "ready goroutine" timer (callback
  *     None) costs no Python call at all.  Only runs when nothing observable
- *     differs from the pure loop: a plain ``Trace``, no injector and
- *     structured stop conditions.  Anything else returns None and the pure
- *     loop takes over.  The stock RNG (the C type above) is read directly;
+ *     differs from the pure loop: a plain ``Trace`` and structured stop
+ *     conditions.  Anything else returns None and the pure loop takes
+ *     over.  A fault injector needs nothing here: the scheduler lowers
+ *     ``_budget`` and ``_time_limit`` to the injector's horizon, so the
+ *     loop returns where a fault can be due and the pure loop pulses it.
+ *     Each idle timer batch spends one unit of ``_budget_used``, as in the
+ *     pure loop.  The stock RNG (the C type above) is read directly;
  *     any other RNG — the systematic explorer's scripted choices — draws
  *     through ``sched._randrange(n)``, the bound method the pure
  *     ``_advance`` calls, and the result indexes the runnable list with
@@ -1048,7 +1052,8 @@ hl_drive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     {
         /* The time limit is checked once per stretch of steps: the clock
          * only moves when this loop fires timers (the injector, which can
-         * also move it, keeps the loop off), and firing re-arms the check. */
+         * also move it, is pulsed between calls), and firing re-arms the
+         * check. */
         int check_time = 1;
         for (;;) {
             /* Stop check — same order as the pure _advance. */
@@ -1083,6 +1088,9 @@ hl_drive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                                               &now_obj, events, step_obj);
                 if (fired < 0) { failed = 1; clear_current = 1; break; }
                 if (fired == 0) { verdict = v_idle; break; }
+                /* A timer batch spends one unit of the budget, as in the
+                 * pure loop. */
+                budget_used++;
                 /* Callbacks run Python: re-read what they may change. */
                 PyObject *now2 = PyObject_GetAttr(clock, s_now);
                 if (now2 == NULL) { failed = 1; break; }
@@ -1368,10 +1376,11 @@ fail_entry:
 /* Compiled bodies for the blocking primitives themselves: channel     */
 /* send/recv (buffered and rendezvous), try_send/try_recv, select      */
 /* readiness + commit, Mutex, RWMutex and time.Sleep.  Each op         */
-/* re-checks engagement at entry — no injector, a current goroutine,   */
-/* and a plain Trace; a kept trace is recorded in C by sleep, while    */
-/* the channel/select/sync ops still need the trace inactive —         */
-/* and returns NotImplemented to defer to the pure path otherwise.     */
+/* re-checks engagement at entry — a current goroutine and a plain     */
+/* Trace; a kept trace is recorded in C by sleep, while the            */
+/* channel/select/sync ops still need the trace inactive and no        */
+/* injector — and returns NotImplemented to defer to the pure path     */
+/* otherwise, counting the first check that failed.                    */
 /* All bail-outs happen BEFORE the op's entry schedule point so an op  */
 /* is either entirely compiled or entirely pure; the observable        */
 /* schedule is identical either way (asserted by the parity tests).    */
@@ -1421,13 +1430,23 @@ static PyObject *msg_send_closed = NULL, *msg_mu_unlock = NULL,
 
 enum { OP_SEND, OP_RECV, OP_TRYSEND, OP_TRYRECV, OP_SELECT, OP_MUTEX,
        OP_RWMUTEX, OP_SLEEP, OP_N };
-static long long fo_hits[OP_N], fo_bails[OP_N];
+/* Why an op bailed: the first engagement check that failed.  The
+ * argument shape, a non-stock scheduler RNG (select draws from it), a
+ * kept trace or Trace subclass, an attached injector, ``capture_sites``
+ * (sleep), or no current goroutine. */
+enum { FR_ARGUMENT, FR_RNG, FR_TRACE, FR_INJECTOR, FR_CAPTURE_SITES,
+       FR_NO_GOROUTINE, FR_N };
+static long long fo_hits[OP_N], fo_bails[OP_N], fo_reasons[FR_N];
+/* The reason of fo_enter's last bail (read right after it returns 0). */
+static int fo_enter_why = FR_ARGUMENT;
 
-#define FO_BAIL(op)                                                 \
+#define FO_BAIL_AS(op, why)                                         \
     do {                                                            \
         fo_bails[op]++;                                             \
+        fo_reasons[why]++;                                          \
         Py_RETURN_NOTIMPLEMENTED;                                   \
     } while (0)
+#define FO_BAIL(op) FO_BAIL_AS(op, FR_ARGUMENT)
 
 static void
 fo_panic(PyObject *msg)
@@ -1967,6 +1986,7 @@ fo_triple(PyObject *a, PyObject *b, PyObject *c)
 static int
 fo_enter(PyObject *sched, PyObject **me_out)
 {
+    fo_enter_why = FR_TRACE;
     PyObject *trace = PyObject_GetAttr(sched, s_trace);
     if (trace == NULL) {
         PyErr_Clear();
@@ -1977,6 +1997,7 @@ fo_enter(PyObject *sched, PyObject **me_out)
     Py_DECREF(trace);
     if (traced)
         return 0;
+    fo_enter_why = FR_INJECTOR;
     PyObject *inj = PyObject_GetAttr(sched, s_injector);
     if (inj == NULL) {
         PyErr_Clear();
@@ -1986,6 +2007,7 @@ fo_enter(PyObject *sched, PyObject **me_out)
     Py_DECREF(inj);
     if (has_inj)
         return 0;
+    fo_enter_why = FR_NO_GOROUTINE;
     PyObject *me = PyObject_GetAttr(sched, s_current);
     if (me == NULL) {
         PyErr_Clear();
@@ -1995,6 +2017,7 @@ fo_enter(PyObject *sched, PyObject **me_out)
         Py_DECREF(me);
         return 0;
     }
+    fo_enter_why = FR_ARGUMENT;
     PyObject *preempt = PyObject_GetAttr(sched, s_preempt);
     if (preempt == NULL) {
         PyErr_Clear();
@@ -2035,7 +2058,7 @@ fo_chan_send(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         Py_DECREF(sched);
         if (e < 0)
             return NULL;
-        FO_BAIL(OP_SEND);
+        FO_BAIL_AS(OP_SEND, fo_enter_why);
     }
     fo_hits[OP_SEND]++;
     PyObject *reason = slot_get(ch, off_ch_reason_send);
@@ -2105,7 +2128,7 @@ fo_chan_recv(PyObject *module, PyObject *ch)
         Py_DECREF(sched);
         if (e < 0)
             return NULL;
-        FO_BAIL(OP_RECV);
+        FO_BAIL_AS(OP_RECV, fo_enter_why);
     }
     fo_hits[OP_RECV]++;
     PyObject *reason = slot_get(ch, off_ch_reason_recv);
@@ -2178,7 +2201,7 @@ fo_chan_try_send(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         Py_DECREF(sched);
         if (e < 0)
             return NULL;
-        FO_BAIL(OP_TRYSEND);
+        FO_BAIL_AS(OP_TRYSEND, fo_enter_why);
     }
     fo_hits[OP_TRYSEND]++;
     int r = fo_poll_send(ch, value);
@@ -2204,7 +2227,7 @@ fo_chan_try_recv(PyObject *module, PyObject *ch)
         Py_DECREF(sched);
         if (e < 0)
             return NULL;
-        FO_BAIL(OP_TRYRECV);
+        FO_BAIL_AS(OP_TRYRECV, fo_enter_why);
     }
     fo_hits[OP_TRYRECV]++;
     PyObject *value = NULL;
@@ -2246,11 +2269,11 @@ fo_select(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     PyObject *rng_obj = PyObject_GetAttr(sched, s_rng);
     if (rng_obj == NULL) {
         PyErr_Clear();
-        FO_BAIL(OP_SELECT);
+        FO_BAIL_AS(OP_SELECT, FR_RNG);
     }
     if (Py_TYPE(rng_obj) != &BatchedRandom_Type) {
         Py_DECREF(rng_obj);
-        FO_BAIL(OP_SELECT);
+        FO_BAIL_AS(OP_SELECT, FR_RNG);
     }
     int use_default = PyObject_IsTrue(defarg);
     if (use_default < 0) {
@@ -2263,7 +2286,7 @@ fo_select(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         Py_DECREF(rng_obj);
         if (e < 0)
             return NULL;
-        FO_BAIL(OP_SELECT);
+        FO_BAIL_AS(OP_SELECT, fo_enter_why);
     }
     fo_hits[OP_SELECT]++;
     BatchedRandomObject *rng = (BatchedRandomObject *)rng_obj;
@@ -2447,7 +2470,7 @@ fo_mutex_lock(PyObject *module, PyObject *mu)
         Py_DECREF(sched);
         if (e < 0)
             return NULL;
-        FO_BAIL(OP_MUTEX);
+        FO_BAIL_AS(OP_MUTEX, fo_enter_why);
     }
     fo_hits[OP_MUTEX]++;
     PyObject *result = NULL;
@@ -2506,7 +2529,7 @@ fo_mutex_trylock(PyObject *module, PyObject *mu)
         Py_DECREF(sched);
         if (e < 0)
             return NULL;
-        FO_BAIL(OP_MUTEX);
+        FO_BAIL_AS(OP_MUTEX, fo_enter_why);
     }
     fo_hits[OP_MUTEX]++;
     PyObject *result;
@@ -2540,7 +2563,7 @@ fo_mutex_unlock(PyObject *module, PyObject *mu)
         Py_DECREF(sched);
         if (e < 0)
             return NULL;
-        FO_BAIL(OP_MUTEX);
+        FO_BAIL_AS(OP_MUTEX, fo_enter_why);
     }
     fo_hits[OP_MUTEX]++;
     PyObject *result = NULL;
@@ -2721,7 +2744,7 @@ fo_rw_wait(PyObject *rw, PyObject *sched, PyObject *me,
             Py_DECREF(sched);                                       \
             if (_e < 0)                                             \
                 return NULL;                                        \
-            FO_BAIL(OP_RWMUTEX);                                    \
+            FO_BAIL_AS(OP_RWMUTEX, fo_enter_why);                   \
         }                                                           \
     } while (0);                                                    \
     fo_hits[OP_RWMUTEX]++
@@ -2944,10 +2967,13 @@ done:
  * (duration <= 0) or arm a ready timer and block with reason "time.sleep"
  * until it has fired, re-blocking after a spurious wakeup.  Unlike the ops
  * above this one runs under a kept trace: it records its own time.sleep
- * and go.block events.  It bails before anything observable when an
- * injector, a Trace subclass, ``capture_sites`` (go.block would need the
- * user stack) or a missing goroutine context needs the pure path, or the
- * duration is not an exact int or float. */
+ * and go.block events.  It bails before anything observable when a Trace
+ * subclass, ``capture_sites`` (go.block would need the user stack) or a
+ * missing goroutine context needs the pure path, or the duration is not
+ * an exact int or float.  An attached injector needs no bail: the yield
+ * raises an injected kill or panic as ``yield_to_scheduler`` does, a
+ * spurious wakeup re-blocks until the timer has fired as the pure loop
+ * does, and an injected delay only parks RUNNABLE goroutines. */
 static PyObject *
 fo_sleep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -2956,14 +2982,12 @@ fo_sleep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     PyObject *sched = args[0], *duration = args[1];
     if (!PyFloat_CheckExact(duration) && !PyLong_CheckExact(duration))
         FO_BAIL(OP_SLEEP);
-    if (!attr_is(sched, s_injector, Py_None))
-        FO_BAIL(OP_SLEEP);
     PyObject *events = NULL;
     if (!trace_probe(sched, &events))
-        FO_BAIL(OP_SLEEP);
+        FO_BAIL_AS(OP_SLEEP, FR_TRACE);
     if (!attr_is(sched, s_capture_sites, Py_False)) {
         Py_XDECREF(events);
-        FO_BAIL(OP_SLEEP);
+        FO_BAIL_AS(OP_SLEEP, FR_CAPTURE_SITES);
     }
     PyObject *me = PyObject_GetAttr(sched, s_current);
     if (me == NULL)
@@ -2971,7 +2995,7 @@ fo_sleep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (me == NULL || !PyObject_TypeCheck(me, fo_goro)) {
         Py_XDECREF(me);
         Py_XDECREF(events);
-        FO_BAIL(OP_SLEEP);
+        FO_BAIL_AS(OP_SLEEP, FR_NO_GOROUTINE);
     }
     fo_hits[OP_SLEEP]++;
 
@@ -3158,10 +3182,15 @@ hl_fastops_stats(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         if (reset < 0)
             return NULL;
     }
+    static const char *why_names[FR_N] = {
+        "argument", "rng", "trace", "injector", "capture_sites",
+        "no_goroutine",
+    };
     PyObject *engaged = PyDict_New();
     PyObject *bailed = PyDict_New();
+    PyObject *reasons = PyDict_New();
     PyObject *result = NULL;
-    if (engaged == NULL || bailed == NULL)
+    if (engaged == NULL || bailed == NULL || reasons == NULL)
         goto done;
     for (int i = 0; i < OP_N; i++) {
         PyObject *h = PyLong_FromLongLong(fo_hits[i]);
@@ -3177,14 +3206,25 @@ hl_fastops_stats(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         }
         Py_DECREF(b);
     }
-    result = Py_BuildValue("{sOsO}", "engaged", engaged, "bailed", bailed);
+    for (int i = 0; i < FR_N; i++) {
+        PyObject *r = PyLong_FromLongLong(fo_reasons[i]);
+        if (r == NULL || PyDict_SetItemString(reasons, why_names[i], r) < 0) {
+            Py_XDECREF(r);
+            goto done;
+        }
+        Py_DECREF(r);
+    }
+    result = Py_BuildValue("{sOsOsO}", "engaged", engaged, "bailed", bailed,
+                           "reasons", reasons);
     if (result != NULL && reset) {
         memset(fo_hits, 0, sizeof(fo_hits));
         memset(fo_bails, 0, sizeof(fo_bails));
+        memset(fo_reasons, 0, sizeof(fo_reasons));
     }
 done:
     Py_XDECREF(engaged);
     Py_XDECREF(bailed);
+    Py_XDECREF(reasons);
     return result;
 }
 
@@ -3361,8 +3401,9 @@ static PyMethodDef hl_methods[] = {
     {"vc_le", (PyCFunction)hl_vc_le, METH_FASTCALL,
      "vc_le(v, o) -> bool: pointwise v <= o with zero padding."},
     {"fastops_stats", (PyCFunction)hl_fastops_stats, METH_FASTCALL,
-     "fastops_stats(reset=False) -> {'engaged': {...}, 'bailed': {...}} "
-     "per-op counters for the compiled fast paths."},
+     "fastops_stats(reset=False) -> {'engaged': {...}, 'bailed': {...}, "
+     "'reasons': {...}} per-op counters for the compiled fast paths, and "
+     "bail counts by the first engagement check that failed."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -13,18 +13,20 @@ three behind one stable surface:
   run gets never changes a schedule.
 * :func:`get_drive` — the fused per-step scheduler loop (compiled only).
   Returns ``None`` when unavailable; the scheduler then runs its pure loop.
-  The compiled loop engages only when nothing observable differs: no fault
-  injector and structured stop conditions (see
-  ``Scheduler.run_until_quiescent``); a kept trace is recorded in C, and
-  trace consumers fold it after the run.  Any RNG works: the stock one is
+  The compiled loop engages only when nothing observable differs:
+  structured stop conditions (see ``Scheduler.run_until_quiescent``); a
+  kept trace is recorded in C, and trace consumers fold it after the run.
+  With a fault injector attached it runs up to the injector's horizon —
+  the next step or virtual time where a fault can be due — and the pure
+  loop pulses the injector there.  Any RNG works: the stock one is
   read directly, any other (the systematic explorer's scripted choices)
   draws through ``Scheduler._randrange``, and the ``annotate_pick`` hook
   is called after each draw, as in the pure loop.  It also fires the
   virtual clock's due timers itself when nothing is runnable, popping the
   same ``heapq`` timer heap the pure loop uses, so a timer-driven run
-  stays inside it; :func:`drive_stats` counts its calls, exits, fired
-  timers, the trace events it recorded and the calls that drew through a
-  Python ``randrange``.
+  stays inside it; :func:`drive_stats` counts its calls, exits (horizon
+  exits apart), fired timers, the trace events it recorded and the calls
+  that drew through a Python ``randrange``.
 * :class:`VectorClock` — array-backed vector clocks (a dense list indexed
   by gid, matching the simulator's small dense goroutine ids) behind the
   exact API the old sparse dict-backed clock exposed.
@@ -108,11 +110,14 @@ def get_fastops() -> Optional[Any]:
     Returns the extension module itself (``chan_send``, ``chan_recv``,
     ``select_op``, ``mutex_lock``, ``sleep``, ... live on it); every op
     re-checks engagement per call and returns ``NotImplemented`` to defer
-    to the pure primitive whenever a fault injector or missing goroutine
-    context makes the pure path observable.  A kept trace is recorded in C
-    by ``sleep``; the channel/select/sync ops still defer to the pure path
-    under any active trace.  First call binds the
-    primitive classes' slot offsets into the extension.
+    to the pure primitive whenever a missing goroutine context makes the
+    pure path observable.  ``sleep`` records a kept trace in C and runs
+    under a fault injector; the channel/select/sync ops still defer to the
+    pure path under any active trace or injector.  ``fastops_stats()``
+    counts engaged and bailed calls per op, and under ``reasons`` the
+    bails by the first check that failed (``argument``, ``rng``,
+    ``trace``, ``injector``, ``capture_sites``, ``no_goroutine``).  First
+    call binds the primitive classes' slot offsets into the extension.
     """
     global _fastops, _fastops_resolved
     if not _fastops_resolved:
@@ -143,22 +148,43 @@ def get_fastops() -> Optional[Any]:
     return _fastops
 
 
+#: Drive exits at a fault injector's horizon, by the verdict drive
+#: returned (counted by the scheduler, reported by :func:`drive_stats`).
+_horizon_exits = {"steps": 0, "timeout": 0}
+
+
+def count_horizon_exit(verdict: str) -> None:
+    """Count one drive exit at an injector's horizon rather than at the
+    run's own step budget or time limit."""
+    _horizon_exits[verdict] += 1
+
+
 def drive_stats(reset: bool = False) -> Optional[Dict[str, Any]]:
     """Process-wide counters of the compiled loop, or None without it.
 
-    ``{"calls": n, "exits": {"stopped", "timeout", "steps", "idle",
-    "ineligible", "error"}, "timers_fired": {"ready", "callback"},
+    ``{"calls": n, "exits": {"stopped", "timeout", "steps", "horizon",
+    "idle", "ineligible", "error"}, "timers_fired": {"ready", "callback"},
     "callbacks_raised": n, "recorded": n, "scripted": n}`` — shaped like
-    ``fastops_stats``; ``reset`` zeroes them after reading.  A timer-driven
-    run that stays compiled shows a handful of calls and its timers under
-    ``timers_fired``; ``recorded`` counts the trace events appended to
-    kept traces from C (by the loop and the compiled ``sleep``);
-    ``scripted`` counts the calls that drew through a Python
+    ``fastops_stats``; ``reset`` zeroes them after reading.  The exits sum
+    to ``calls``: ``horizon`` counts the returns at a fault injector's
+    horizon, and ``steps``/``timeout`` only the run's own limits.  A
+    timer-driven run that stays compiled shows a handful of calls and its
+    timers under ``timers_fired``; ``recorded`` counts the trace events
+    appended to kept traces from C (by the loop and the compiled
+    ``sleep``); ``scripted`` counts the calls that drew through a Python
     ``randrange`` (the explorer's scripted choices) at least once.
     """
     if _c is None:
         return None
-    return _c.drive_stats(reset)
+    stats = _c.drive_stats(reset)
+    exits = stats["exits"]
+    for verdict, n in _horizon_exits.items():
+        exits[verdict] -= n
+    exits["horizon"] = sum(_horizon_exits.values())
+    if reset:
+        for verdict in _horizon_exits:
+            _horizon_exits[verdict] = 0
+    return stats
 
 
 class force_pure:
@@ -296,5 +322,6 @@ class VectorClock:
         return f"VC({inner})"
 
 
-__all__ = ["BatchedRandom", "HAS_COMPILED", "VectorClock", "drive_stats",
-           "force_pure", "get_drive", "get_fastops"]
+__all__ = ["BatchedRandom", "HAS_COMPILED", "VectorClock",
+           "count_horizon_exit", "drive_stats", "force_pure", "get_drive",
+           "get_fastops"]

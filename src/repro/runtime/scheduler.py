@@ -30,7 +30,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .clock import VirtualClock
 from .errors import SchedulerStateError, StepLimitExceeded
-from ._hotloop import BatchedRandom, get_drive, get_fastops
+from ._hotloop import (BatchedRandom, count_horizon_exit, get_drive,
+                       get_fastops)
 from .goroutine import (
     GeneratorGoroutine,
     Goroutine,
@@ -256,9 +257,11 @@ class Scheduler:
         self._main_verdict: Optional[str] = None
         #: First goroutine to panic, if any (aborts the whole run, as in Go).
         self.panicked: Optional[Goroutine] = None
-        #: Optional fault injector (:mod:`repro.inject`): pulsed once per
-        #: scheduler-loop iteration, in scheduler context, so every injected
-        #: fault lands at an existing scheduling point.
+        #: Optional fault injector (:mod:`repro.inject`): pulsed in
+        #: scheduler context, so every injected fault lands at an existing
+        #: scheduling point.  One with a ``horizon(sched)`` method is pulsed
+        #: only where a fault can be due, and the compiled loop runs the
+        #: stretches in between; any other is pulsed every loop iteration.
         self.injector: Optional[Any] = None
         #: Join bound handed to :meth:`Goroutine.kill` during teardown.
         self.host_join_timeout: Optional[float] = None
@@ -517,17 +520,25 @@ class Scheduler:
         self._main_verdict = None
         # The compiled fused loop stands in for the whole per-step body
         # below — timer firing included — whenever nothing observable
-        # differs from the pure path: a structured stop condition and no
-        # injector.  A kept trace is recorded in C; any RNG and the
-        # ``annotate_pick`` hook are fine: drive reads the stock RNG
-        # directly, calls ``_randrange`` for any other (the explorer's
-        # scripted choices), and calls the pick hook where ``_advance``
-        # does.
+        # differs from the pure path: a structured stop condition.  A kept
+        # trace is recorded in C; any RNG and the ``annotate_pick`` hook
+        # are fine: drive reads the stock RNG directly, calls
+        # ``_randrange`` for any other (the explorer's scripted choices),
+        # and calls the pick hook where ``_advance`` does.  An injector
+        # with a ``horizon`` bounds each drive stretch to where a fault can
+        # be due; the pure iteration below then pulses it.
         hot = self._hot if stop_mode is not None else None
+        horizon = None
+        if self.injector is not None:
+            horizon = getattr(self.injector, "horizon", None)
+            if horizon is None:
+                hot = None  # pulsed every iteration: the pure loop only
         try:
             while True:
-                if hot is not None and self.injector is None:
-                    verdict = hot(self, advance_clock)
+                if hot is not None:
+                    verdict = (hot(self, advance_clock) if horizon is None
+                               else self._drive_to(horizon(self), hot,
+                                                   advance_clock))
                     if verdict is None:
                         # Static mismatch (e.g. a runnable set that is not
                         # a plain list): the pure loop takes over for the
@@ -536,7 +547,7 @@ class Scheduler:
                     elif verdict == "idle":
                         # drive fired every pending timer already.
                         return "quiescent"
-                    else:
+                    elif verdict != "horizon":
                         return verdict
                 g = self._advance()
                 if g is not None:
@@ -550,12 +561,54 @@ class Scheduler:
                 if verdict == "idle":
                     if advance_clock and self.clock.has_pending():
                         self.fire_timers(self.clock.advance_to_next())
+                        # A timer batch spends one unit of the budget, so
+                        # a repeating timer nobody waits on cannot keep an
+                        # otherwise idle run going forever.
+                        self._budget_used += 1
                         continue
                     return "quiescent"
                 return verdict
         finally:
             self._stop_when = None
             self._stop_mode = None
+
+    def _drive_to(self, bound: Optional[Tuple[Optional[int], Optional[float]]],
+                  hot: Callable[["Scheduler", bool], Optional[str]],
+                  advance_clock: bool) -> Optional[str]:
+        """Run the compiled loop up to the injector's horizon ``bound``.
+
+        ``bound`` is ``(step, time)`` from the injector's ``horizon``, or
+        None when a fault is due now.  The step bound lowers the budget and
+        the time bound the time limit, for this call only: those are the
+        exits drive checks at the exact point where ``_advance`` pulses.
+        Returns drive's verdict, or ``"horizon"`` when the run reached the
+        bound (or a fault is due) with its real limits not reached: the
+        caller's pure iteration then pulses and takes one step.  An early
+        exit is always safe, since the pure iteration is exact.
+        """
+        if bound is None:
+            return "horizon"
+        step, time = bound
+        budget, time_limit = self._budget, self._time_limit
+        if step is not None:
+            self._budget = min(budget,
+                               self._budget_used + (step - self._steps))
+        if time is not None and (time_limit is None or time < time_limit):
+            self._time_limit = time
+        try:
+            verdict = hot(self, advance_clock)
+        finally:
+            self._budget, self._time_limit = budget, time_limit
+        if verdict == "steps":
+            reached = self._budget_used >= budget
+        elif verdict == "timeout":
+            reached = time_limit is not None and self.clock.now >= time_limit
+        else:
+            return verdict
+        if reached:
+            return verdict
+        count_horizon_exit(verdict)
+        return "horizon"
 
     def fire_timers(self, fired) -> None:
         """Run fired timer callbacks in scheduler context (one trace event

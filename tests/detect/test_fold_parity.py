@@ -162,10 +162,13 @@ def test_untraced_detector_run_keeps_no_trace_on_the_result():
     assert race.final_clocks()
 
 
-def test_injected_run_stays_pure_and_folds_the_same():
+def test_injected_run_enters_drive_and_folds_the_same():
     plan = plans.delay_storm(every=3)
     drive_stats(True)
     compiled = _folded(racy_and_inverted, 2, inject=plan)
     stats = drive_stats(True)
-    assert stats is None or stats["calls"] == 0
+    if ENGAGED:
+        assert stats["calls"] > 0 and stats["exits"]["ineligible"] == 0
+    with force_pure():
+        assert _folded(racy_and_inverted, 2, inject=plan) == compiled
     assert compiled[:3] == _live(racy_and_inverted, 2, inject=plan)

@@ -121,9 +121,10 @@ def test_miniapp_scenarios_digest_parity_thread_vs_coroutine(scenario):
 def test_net_recovery_scenario_digest_parity_across_backends():
     """A crashing, electing, durable cluster replays identically everywhere.
 
-    The injector disables the compiled hot loop, timers fire, nodes crash
-    and restart under supervision — the heaviest machinery the simulator
-    has, and the schedule still may not depend on the vehicle.
+    The compiled hot loop runs between the injector's pulses, timers
+    fire, nodes crash and restart under supervision — the heaviest
+    machinery the simulator has, and the schedule still may not depend on
+    the vehicle.
     """
     from repro.inject import plans
     from repro.inject.scenarios import net_etcd_recovery_scenario

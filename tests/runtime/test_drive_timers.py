@@ -19,10 +19,13 @@ Without the extension the comparison is pure vs pure and still passes.
 """
 
 import hashlib
+from contextlib import nullcontext
 
 import pytest
 
 from repro import run
+from repro.bugs import registry
+from repro.inject import plans
 from repro.chan.cases import recv
 from repro.net.demo import loadgen_summary
 from repro.parallel import schedule_digest
@@ -415,3 +418,51 @@ def test_advance_clock_true_finishes_the_same_program():
     (state, log), _ = _raw_parity(sleepers)
     assert state[0] == "stopped"
     assert log[-1] == "main done"
+
+
+# ---------------------------------------------------------------------------
+# Idle timer batches spend the step budget
+# ---------------------------------------------------------------------------
+
+
+def orphaned_ticker(rt):
+    """Main returns with a repeating ticker live and nobody receiving from
+    it: only the drain's budget ends the run."""
+    rt.new_ticker(0.25)
+    rt.sleep(1.0)
+    return "main done"
+
+
+@pytest.mark.parametrize("keep_trace", [False, True])
+def test_orphaned_ticker_drain_ends_at_the_budget(keep_trace):
+    outcomes = []
+    for pure in (False, True):
+        with force_pure() if pure else nullcontext():
+            result = run(orphaned_ticker, seed=0, keep_trace=keep_trace,
+                         drain_budget=200)
+        events = len(result.trace) if keep_trace else 0
+        outcomes.append((result.status, result.steps,
+                         repr(result.end_time), events))
+    assert outcomes[0] == outcomes[1]
+    status, _steps, end_time, events = outcomes[0]
+    assert status == "ok"
+    # One tick per timer batch, each batch one unit of the drain budget.
+    assert float(end_time) == 1.0 + 0.25 * 200
+    assert events < 4 * 200
+
+
+def test_killed_main_with_a_live_ticker_returns():
+    """Killing main leaves the kernel's ticker firing into a drain with
+    nothing runnable; the drain budget bounds it in both loops."""
+    kernel = registry.get("nonblocking-chan-etcd-select-ticker")
+    outcomes = []
+    for pure in (False, True):
+        with force_pure() if pure else nullcontext():
+            result = run(kernel.buggy, seed=0, time_limit=1000.0,
+                         inject=plans.kill_goroutine("*", at_step=5))
+        outcomes.append((result.status, result.steps, repr(result.end_time),
+                         schedule_digest(result),
+                         [r.to_dict() for r in result.injected]))
+        assert len(result.trace) < 3 * 50_000  # the default drain budget
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][-1][0]["victim"] == "g1:main"

@@ -25,6 +25,7 @@ parity tests still pass trivially (pure vs pure).
 
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -35,8 +36,11 @@ import pytest
 from repro import run
 from repro.bench import CHANNEL_WORKLOADS, WORKLOADS
 from repro.inject import FaultPlan
+from repro.observe import Observer
 from repro.parallel import schedule_digest
 from repro.runtime._hotloop import force_pure, get_fastops
+from repro.runtime.runtime import Runtime
+from repro.runtime.scheduler import Scheduler
 
 needs_fastops = pytest.mark.skipif(
     get_fastops() is None,
@@ -142,6 +146,42 @@ def test_fault_injector_bails_every_op():
     assert sum(stats["engaged"].values()) == 0, stats
     plain = run(program, seed=1, keep_trace=False)
     assert _signature(injected) == _signature(plain)
+
+
+def napper(rt):
+    for _ in range(3):
+        rt.sleep(0.1)
+
+
+@needs_fastops
+def test_bail_reasons_name_the_first_failing_check():
+    """``reasons`` splits the bails by the first engagement check that
+    failed, and always sums to the per-op ``bailed`` counts."""
+    fast = get_fastops()
+
+    def reasons(action):
+        _reset_stats()
+        action()
+        stats = _stats()
+        assert sum(stats["reasons"].values()) == sum(stats["bailed"].values())
+        return {why: n for why, n in stats["reasons"].items() if n}
+
+    pingpong = CHANNEL_WORKLOADS["pingpong_heavy"]
+    traced = reasons(lambda: run(pingpong, seed=1, keep_trace=True))
+    assert set(traced) == {"trace"}
+    injected = reasons(lambda: run(pingpong, seed=1, keep_trace=False,
+                                   inject=FaultPlan(name="noop")))
+    assert set(injected) == {"injector"}
+    assert reasons(lambda: run(
+        CHANNEL_WORKLOADS["select_fanin_heavy"], seed=1, keep_trace=False,
+        rng=random.Random(1))).get("rng", 0) > 0
+    assert reasons(lambda: run(napper, seed=0, observe=Observer(
+        capture_sites=True))) == {"capture_sites": 3}
+
+    rt = Runtime(Scheduler(seed=0, keep_trace=False))
+    ch = rt.make_chan(1)
+    assert reasons(lambda: fast.chan_send(ch, 1)) == {"no_goroutine": 1}
+    assert reasons(lambda: fast.sleep(rt.sched, "1s")) == {"argument": 1}
 
 
 # ---------------------------------------------------------------------------

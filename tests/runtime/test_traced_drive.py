@@ -6,10 +6,11 @@ emits itself (go.end / go.panic, timer.fire + go.unblock) to the trace,
 and ``Runtime.sleep`` dispatches to the compiled ``sleep`` op, which
 records time.sleep / go.block.  These tests pin the recorded stream to
 the pure one event by event — ``(step, repr(time), gid, kind, obj,
-info)``, not just the schedule digest — and check both sides of the
-engagement contract: a kept-trace run really takes the compiled paths,
-so does a run whose detector folds the trace or that captures block
-sites, and a run with an injector never does.
+info)``, not just the schedule digest — and check the engagement
+contract: a kept-trace run really takes the compiled paths, and so does
+a run whose detector folds the trace, that captures block sites, or that
+has a fault injector attached (drive runs up to the injector's horizon
+and the compiled sleep stays engaged).
 
 Without the extension the parity tests compare pure with pure and the
 engagement tests skip.
@@ -290,14 +291,20 @@ def test_observed_runs_enter_drive(case):
 
 
 @needs_compiled
-def test_injected_runs_never_enter_drive():
+def test_injected_runs_enter_drive():
+    plan = plans.delay_storm(every=5, probability=1.0)
     _reset()
-    result = run(sleepers, seed=0, inject=plans.delay_storm(every=1000))
+    result = run(sleepers, seed=0, inject=plan)
     stats = drive_stats(True)
     engaged, bailed = _sleep_stats()
+    with force_pure():
+        pure = run(sleepers, seed=0, inject=plan)
+    assert _outcome(result) == _outcome(pure)
+    assert result.injected == pure.injected and result.injected
     assert len(result.main_result) == 16
-    assert stats["calls"] == 0 and stats["recorded"] == 0
-    assert engaged == 0 and bailed == 16
+    assert stats["calls"] > 0 and stats["exits"]["ineligible"] == 0
+    assert stats["exits"]["horizon"] > 0 and stats["recorded"] > 0
+    assert engaged == 16 and bailed == 0
 
 
 # ---------------------------------------------------------------------------
@@ -368,17 +375,18 @@ def test_spurious_wakeup_reblocks():
     assert len(sleeper_blocks) == 2  # blocked, woken early, blocked again
 
 
-def test_wakeup_storm_takes_the_pure_sleep():
+def test_wakeup_storm_takes_the_compiled_sleep():
     _reset()
     plan = plans.wakeup_storm(every=2, probability=1.0)
     compiled = run(sleepers, seed=4, inject=plan)
+    if ENGAGED:
+        engaged, bailed = _sleep_stats()
+        assert engaged > 0 and bailed == 0
     with force_pure():
         pure = run(sleepers, seed=4, inject=plan)
     assert _outcome(compiled) == _outcome(pure)
+    assert compiled.injected == pure.injected
     assert compiled.injected, "the storm woke nobody"
-    if ENGAGED:
-        engaged, bailed = _sleep_stats()
-        assert engaged == 0 and bailed > 0
 
 
 def long_sleeper(rt):

@@ -103,6 +103,40 @@ def test_fallbacks_section_reports_drive_counters():
     assert "scripted 1 call(s)" in rendered
 
 
+def test_fallbacks_line_shows_bail_reasons_and_horizon_exits():
+    from repro import run
+    from repro.inject import Fault, FaultPlan
+    from repro.runtime._hotloop import drive_stats, get_fastops
+
+    def handoff(rt):
+        ch = rt.make_chan(0)
+        rt.go(lambda: ch.send(1))
+        rt.sleep(0.5)
+        return ch.recv()
+
+    drive_stats(True)
+    if get_fastops() is not None:
+        get_fastops().fastops_stats(True)
+    plan = FaultPlan(name="jump", faults=(
+        Fault("clock_jump", after_time=0.25, value=0.1),))
+    result = run(handoff, seed=0, keep_trace=False, inject=plan)
+    assert result.main_result == 1 and len(result.injected) == 1
+    section = bench.collect_runtime_fallbacks()
+    rendered = bench.render({"python": "3.11", "cpus": 1,
+                             "fallbacks": section})
+    if not bench.HAS_COMPILED:
+        return
+    # The channel ops bail on the injector; the sleep stays compiled.
+    assert section["fastops"]["reasons"]["injector"] > 0
+    assert "(first failing check injector:" in rendered
+    assert section["fastops"]["engaged"]["sleep"] == 1
+    # drive ran to the jump's time, returned there, then finished the run.
+    drive = section["drive"]
+    assert drive["exits"]["horizon"] == 1
+    assert sum(drive["exits"].values()) == drive["calls"]
+    assert "horizon:1" in rendered
+
+
 def _doc(sps_fast, sps_traced, backend="tasklet"):
     return {"single": {"pingpong": {
         "fast": {"steps_per_s": sps_fast, "backend": backend},
